@@ -37,7 +37,7 @@ def clean_audits(violations: dict[str, int]) -> list[str]:
 
 
 def traced_matches(untraced: list[tuple], traced: list[tuple]) -> list[str]:
-    """Per-trial (outcome, edges, min degree) of the traced replay equal the run's."""
+    """Per-trial (outcome, edges, min degree) of the traced pass equal the untraced run's."""
     if len(untraced) != len(traced):
         return [f"traced run has {len(traced)} trials, untraced {len(untraced)}"]
     return [

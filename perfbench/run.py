@@ -8,7 +8,7 @@ One run of one workload, from the root of the repository:
 It measures set-up time in fresh interpreters, runs whole rounds of the
 workload at ``workers=1`` for ``--seconds``, runs the same rounds again at
 ``workers=2``, checks the outputs, and prints one line per metric followed
-by a JSON object as the last line. ``--trace 1`` adds a traced replay of
+by a JSON object as the last line. ``--trace 1`` adds a traced pass over
 the same trials and reports the per-layer metrics instead.
 
 Two sets of runs of the same code, with quartiles and the difference
@@ -32,8 +32,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 RESULTS = HERE / "results"
-SETUP_PROBES = 5  # fresh interpreters per run; the median is reported
-CHECKED_PER_RUN = 2  # trials per run re-decided by an independent reference
+SETUP_PROBES = 8  # fresh interpreters per run, spread over its rounds; the median is reported
 
 
 def calibration_s() -> float:
@@ -49,13 +48,11 @@ def calibration_s() -> float:
     return time.perf_counter() - t0
 
 
-def setup_probes(workload: str, seed: int) -> list[dict]:
+def setup_probe(workload: str, seed: int) -> dict:
+    """Set-up of one fresh interpreter: import_s, solve_s and setup_s."""
     cmd = [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed)]
-    out = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, check=True)
-        out.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    return out
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @dataclass
@@ -87,7 +84,7 @@ def timed_experiment(cfg, workers: int):
 
 
 def traced_round(tracer, cfg):
-    """Replay the round's trials with spans; returns (outcome, edges, min
+    """Run the round's trials again with spans; returns (outcome, edges, min
     degree) per trial and the wall time, or None when a budget is exceeded."""
     from riglab import BudgetExceeded
     from tracing import library_spans, traced_trial
@@ -133,12 +130,11 @@ def output_checks(rounds: list[Round], trace: bool) -> list[str]:
         expected = checks.expected_composed_edges(rig.n, rig.K, rig.P, rig.s, er.q)
         problems += checks.edge_mean_close([r.edges for _, r in trials], expected)
 
-    # Re-decide the first trial of each outcome, then the earliest others,
-    # on graphs sampled again outside the timed sections.
+    # Re-decide the first trial of each outcome on graphs sampled again
+    # outside the timed sections.
     picked = []
     for outcome in (True, False):
         picked += [t for t in trials if t[1].outcome == outcome][:1]
-    picked += [t for t in trials if t not in picked][: max(0, CHECKED_PER_RUN - len(picked))]
     for cfg, rec in picked:
         g = sample_model(cfg.model, RngStream(cfg.seed, rec.trial))
         if prop.kind == K_CONNECTED:
@@ -159,21 +155,28 @@ def run_once(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     from workloads import WORKLOADS
 
     wl = WORKLOADS[workload]
-    probes = setup_probes(workload, seed)
 
     # Whole rounds until --seconds of workers=1 time have been measured.
-    # Each round runs at workers=1, is replayed with spans in a traced run,
-    # and runs again at workers=2, so that every measurement spreads over
-    # the whole run and phases of a busy host touch them all alike.
+    # Each round runs at workers=1, again with spans in a traced run,
+    # and runs again at workers=2, and the set-up probes are spread evenly
+    # over the measured time, so that every measurement spreads over the
+    # whole run and phases of a busy host touch them all alike.
     tracer = Tracer() if trace else None
     rounds: list[Round] = []
-    while not rounds or sum(rnd.w1_s for rnd in rounds) < seconds:
+    probes: list[dict] = []
+    measured = 0.0
+    while not rounds or measured < seconds:
+        while len(probes) < min(SETUP_PROBES, SETUP_PROBES * measured / seconds):
+            probes.append(setup_probe(workload, seed))
         rnd = Round(wl.config(seed, len(rounds)), calibration_s=calibration_s())
         rnd.w1, rnd.w1_s = timed_experiment(rnd.cfg, 1)
         if trace:
             rnd.traced, rnd.traced_s = traced_round(tracer, rnd.cfg)
         rnd.w2, rnd.w2_s = timed_experiment(rnd.cfg, 2)
         rounds.append(rnd)
+        measured += rnd.w1_s
+    while len(probes) < SETUP_PROBES:
+        probes.append(setup_probe(workload, seed))
     # The workers=2 pools are child processes, so this is the peak of the
     # process that ran the workers=1 rounds.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -69,8 +69,7 @@ def run_stability(workload: str | None, runs: int, seconds: float) -> int:
                 per_set.append({"median": med, "q1": q1, "q3": q3,
                                 "spread": (q3 - q1) / med, "values": values})
             worse = worse_share(per_set[0]["median"], per_set[1]["median"], metric["better"])
-            spread_ok = name == "setup_s" or all(p["spread"] <= metric["bound"] for p in per_set)
-            within = spread_ok and worse <= metric["bound"]
+            within = worse <= metric["bound"] and all(p["spread"] <= metric["bound"] for p in per_set)
             ok = ok and within
             rows[name] = {"sets": per_set, "worse_share": worse, "bound": metric["bound"],
                           "within_bound": within}

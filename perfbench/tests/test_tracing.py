@@ -1,12 +1,14 @@
-"""The traced replay gives the same trials as run_experiment and charges
+"""A traced pass gives the same trials as run_experiment and charges
 each span only for the time its children do not cover."""
 
 import time
 
 import riglab.graphs as graphs
+import riglab.models as models
+import riglab.montecarlo as montecarlo
 import riglab.properties as properties
 from riglab import DecisionBudget, FamilyParams, ModelFamily, PropertyKind, run_experiment, threshold_experiment
-from tracing import TRIAL, Tracer, library_spans, traced_trial
+from tracing import DECISION_SPAN, TRIAL, Tracer, library_spans, traced_trial
 
 
 def test_self_time_excludes_children():
@@ -21,10 +23,13 @@ def test_self_time_excludes_children():
 
 
 def test_library_spans_restore_the_library():
-    init, conn = graphs.Graph.__init__, properties.is_connected
+    wrapped = [(graphs.Graph, "__init__"), (graphs.Graph, "adjacency_lists"),
+               (models, "sample_er"), (properties, "is_connected"),
+               (montecarlo, "evaluate_property"), (montecarlo, "has_near_perfect_matching")]
+    before = [getattr(owner, attr) for owner, attr in wrapped]
     with library_spans(Tracer()):
-        assert properties.is_connected is not conn
-    assert graphs.Graph.__init__ is init and properties.is_connected is conn
+        assert all(getattr(o, a) is not fn for (o, a), fn in zip(wrapped, before))
+    assert all(getattr(o, a) is fn for (o, a), fn in zip(wrapped, before))
 
 
 def test_traced_trials_equal_run_experiment():
@@ -43,4 +48,6 @@ def test_traced_trials_equal_run_experiment():
         with library_spans(tracer):
             got = [traced_trial(tracer, cfg, i) for i in range(cfg.trials)]
         assert got == expected
-        assert len([s for s in tracer.spans if s[1] == TRIAL]) == cfg.trials
+        names = [s[1] for s in tracer.spans]
+        assert names.count(TRIAL) == cfg.trials
+        assert names.count(DECISION_SPAN[prop.kind]) == cfg.trials

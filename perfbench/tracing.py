@@ -1,11 +1,11 @@
 """Spans around the calls into each ``riglab`` layer, recorded from outside.
 
-Nothing in ``riglab`` is instrumented. The traced run replays each trial
-of ``montecarlo._run_one_trial`` through the public functions it calls,
-with a span around every call; calls that the library makes internally
-(``Graph`` construction, the searches inside the decisions) are timed by
-wrapping the module attributes for the duration of the traced run only.
-A span's self time is its duration minus the time its child spans cover.
+Nothing in ``riglab`` is instrumented. A traced trial is
+``montecarlo._run_one_trial`` itself, run while the module attributes it
+and the layers below it look up (the samplers, ``Graph`` construction and
+adjacency lists, the searches, the decision and the audit checks) are
+wrapped in spans; they are restored when the traced rounds end. A span's
+self time is its duration minus the time its child spans cover.
 """
 
 from __future__ import annotations
@@ -16,21 +16,9 @@ from contextlib import contextmanager
 
 import riglab.graphs as graphs
 import riglab.hamilton as hamilton
+import riglab.models as models
+import riglab.montecarlo as montecarlo
 import riglab.properties as properties
-from riglab import (
-    ErParams,
-    IntersectionSpec,
-    RngStream,
-    UniformRigParams,
-    build_rig,
-    evaluate_property,
-    has_near_perfect_matching,
-    intersect_graphs,
-    is_connected,
-    is_k_connected,
-    sample_er,
-    sample_uniform_assignment,
-)
 from riglab.properties import HAMILTON_CYCLE, K_CONNECTED, NEAR_PERFECT_MATCHING
 
 TRIAL = "montecarlo.trial"
@@ -50,7 +38,7 @@ LAYERS = (
     "montecarlo.audit",
 )
 
-_DECISION_SPAN = {
+DECISION_SPAN = {
     K_CONNECTED: "properties.kconn",
     HAMILTON_CYCLE: "hamilton.decide",
     NEAR_PERFECT_MATCHING: "matching.decide",
@@ -103,60 +91,50 @@ class Tracer:
         return sum(end - start for _, n, _, start, end in self.spans if n == name)
 
 
+def _decision(tracer: Tracer, fn):
+    """``evaluate_property`` in the span of the property it decides."""
+    def traced(g, prop, *args, **kwargs):
+        with tracer.span(DECISION_SPAN[prop.kind]):
+            return fn(g, prop, *args, **kwargs)
+    return traced
+
+
 @contextmanager
 def library_spans(tracer: Tracer):
-    """Time the calls ``riglab`` makes internally, restoring them afterwards."""
+    """Wrap the calls a trial makes into each layer, restoring them afterwards."""
+    def span(name):
+        return lambda fn: tracer.wrap(name, fn)
+
+    audit = span("montecarlo.audit")
     patches = [
-        (graphs.Graph, "__init__", "graphs.graph_build"),
-        (properties, "is_connected", "graphs.bfs"),
-        (properties, "connected_components", "graphs.bfs"),
-        (hamilton, "is_connected", "graphs.bfs"),
+        (models, "sample_uniform_assignment", span("models.assign")),
+        (models, "build_rig", span("models.build_rig")),
+        (models, "sample_er", span("models.sample_er")),
+        (models, "intersect_graphs", span("graphs.intersect")),
+        (graphs.Graph, "__init__", span("graphs.graph_build")),
+        (graphs.Graph, "adjacency_lists", span("graphs.adjacency")),
+        (properties, "is_connected", span("graphs.bfs")),
+        (properties, "connected_components", span("graphs.bfs")),
+        (hamilton, "is_connected", span("graphs.bfs")),
+        (montecarlo, "evaluate_property", lambda fn: _decision(tracer, fn)),
+        # The checks _run_one_trial makes after the decision.
+        (montecarlo, "is_connected", lambda fn: audit(tracer.wrap("graphs.bfs", fn))),
+        (montecarlo, "is_k_connected", audit),
+        (montecarlo, "has_near_perfect_matching", audit),
     ]
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     try:
-        for owner, attr, name in patches:
-            setattr(owner, attr, tracer.wrap(name, getattr(owner, attr)))
+        for owner, attr, make in patches:
+            setattr(owner, attr, make(getattr(owner, attr)))
         yield
     finally:
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
 
 
-def _sample(tracer: Tracer, spec, stream: RngStream):
-    """``models.sample_model`` for the families the workloads use."""
-    if isinstance(spec, UniformRigParams):
-        with tracer.span("models.assign"):
-            assignment = sample_uniform_assignment(spec, stream)
-        with tracer.span("models.build_rig"):
-            return build_rig(assignment, spec.s)
-    if isinstance(spec, ErParams):
-        with tracer.span("models.sample_er"):
-            return sample_er(spec, stream)
-    if isinstance(spec, IntersectionSpec):
-        parts = [_sample(tracer, p, stream.substream(i)) for i, p in enumerate(spec.parts)]
-        out = parts[0]
-        for g in parts[1:]:
-            with tracer.span("graphs.intersect"):
-                out = intersect_graphs(out, g)
-        return out
-    raise ValueError(f"no traced sampler for {spec!r}")
-
-
 def traced_trial(tracer: Tracer, cfg, index: int) -> tuple[bool, int, int]:
-    """One trial as ``_run_one_trial`` makes it, audit included; returns
-    (outcome, edges, min degree)."""
-    prop = cfg.prop
+    """Trial ``index`` of ``cfg`` in a TRIAL span, inside ``library_spans``;
+    returns (outcome, edges, min degree)."""
     with tracer.span(TRIAL):
-        g = _sample(tracer, cfg.model, RngStream(cfg.seed, index))
-        with tracer.span("graphs.adjacency"):
-            g.adjacency_lists()
-        with tracer.span(_DECISION_SPAN[prop.kind]):
-            outcome = evaluate_property(g, prop, cfg.budget)
-        with tracer.span("montecarlo.audit"):
-            mind = g.min_degree()
-            with tracer.span("graphs.bfs"):
-                is_connected(g)
-            if outcome and prop.kind == HAMILTON_CYCLE:
-                is_k_connected(g, 2)
-                has_near_perfect_matching(g)
-    return outcome, g.m, mind
+        rec = montecarlo._run_one_trial(cfg.model, cfg.prop, cfg.budget, cfg.seed, index)
+    return rec.outcome, rec.edges, rec.min_degree

@@ -59,13 +59,15 @@ WORKLOADS = {
             5000, 3.0, FamilyParams(n=5000), trials_per_round=12,
             budget=DecisionBudget(search_steps=200_000),
         ),
-        # Not in BENCHMARK.json: about one graph in thirty reaches the blossom
-        # search, where one call takes 1-10 s against 0.3 s for a whole
-        # ordinary trial. A run that fits the time budget holds zero to a few
-        # of them, and their number sets trials/s, so it cannot repeat.
+        # Near-perfect matching as the decision. About one graph in thirty
+        # reaches the blossom search, whose cost grows as contractions x n:
+        # at n=2000 a search takes 30-50 ms on average against 11 ms for a
+        # whole ordinary trial, and a run meets forty or more of them. At
+        # n=2e4 a search takes 1-10 s and a run meets zero to a few, too few
+        # to repeat.
         Workload(
-            "matching-er-n20000", ModelFamily.er(), PropertyKind.near_perfect_matching(),
-            20_000, 0.0, FamilyParams(n=20_000), trials_per_round=4,
+            "matching-er-n2000", ModelFamily.er(), PropertyKind.near_perfect_matching(),
+            2000, 0.0, FamilyParams(n=2000), trials_per_round=100,
         ),
     )
 }
