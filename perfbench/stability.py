@@ -4,7 +4,8 @@ For each workload and end-to-end metric it reports each set's median and
 quartiles, the spread (Q3 - Q1) / median, and how much worse the second
 set's median is than the first's, as a share of the first, against the
 metric's bound in BENCHMARK.json. Each run's calibration time is reported
-with it, so a slow host shows as a slow calibration, not as a regression.
+with it, and next to each time's spread the spread the same runs have in
+plain wall time, before ``HostClock`` scales them to the reference speed.
 Set A uses seeds 1..runs and set B seeds runs+1..2*runs. The report is
 printed and written to ``perfbench/results/stability.json``.
 """
@@ -30,6 +31,9 @@ def one_run(workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["calibration_s"] = next(
         float(line.split()[1]) for line in lines if line.startswith("calibration_s "))
+    # The same times in plain wall time, before the host-speed scaling.
+    words = next(line for line in lines if line.startswith("wall_trials_per_s ")).split()
+    result["wall"] = {k[len("wall_"):]: float(v) for k, v in zip(words[::2], words[1::2])}
     return result
 
 
@@ -68,6 +72,10 @@ def run_stability(workload: str | None, runs: int, seconds: float) -> int:
                 q1, med, q3 = statistics.quantiles(values, n=4)
                 per_set.append({"median": med, "q1": q1, "q3": q3,
                                 "spread": (q3 - q1) / med, "values": values})
+                if name in runs_by_workload[w][0]["wall"]:
+                    wall = [r["wall"][name] for r in runs_by_workload[w]]
+                    wq1, wmed, wq3 = statistics.quantiles(wall, n=4)
+                    per_set[-1]["wall_spread"] = (wq3 - wq1) / wmed
             worse = worse_share(per_set[0]["median"], per_set[1]["median"], metric["better"])
             within = worse <= metric["bound"] and all(p["spread"] <= metric["bound"] for p in per_set)
             ok = ok and within
@@ -82,14 +90,15 @@ def run_stability(workload: str | None, runs: int, seconds: float) -> int:
                                   "failed_share": fail_share}
 
     print(f"\n{'workload':24} {'metric':16} {'set':3} {'median':>11} {'q1':>11} "
-          f"{'q3':>11} {'spread':>7} {'worse':>7} {'bound':>6}")
+          f"{'q3':>11} {'spread':>7} {'wall':>7} {'worse':>7} {'bound':>6}")
     for w, entry in report["workloads"].items():
         for name, row in entry["metrics"].items():
             for label, p in zip("AB", row["sets"]):
                 tail = (f" {row['worse_share']:7.3f} {row['bound']:6.2f} "
                         f"{'ok' if row['within_bound'] else 'OUT'}") if label == "B" else ""
+                wall = f"{p['wall_spread']:7.3f}" if "wall_spread" in p else " " * 7
                 print(f"{w:24} {name:16} {label:3} {p['median']:11.5g} {p['q1']:11.5g} "
-                      f"{p['q3']:11.5g} {p['spread']:7.3f}{tail}")
+                      f"{p['q3']:11.5g} {p['spread']:7.3f} {wall}{tail}")
         for label, (q1, med, q3) in zip("AB", entry["calibration_s"]):
             print(f"{w:24} {'calibration_s':16} {label:3} {med:11.5g} {q1:11.5g} {q3:11.5g}")
     out = HERE / "results"
