@@ -3,8 +3,9 @@
 Experiments read a JSON config (schema ``rig-lab/1``, unknown keys
 rejected); command-line flags override config values. The base seed falls
 back to the ``RIG_LAB_SEED`` environment variable when neither a flag nor
-the config provides one. Human-readable numbers print with 6 significant
-digits; machine output keeps full precision.
+the config provides one. The geometric families (``rgg``, ``urig_rgg``)
+live on the unit torus unless a region is given. Human-readable numbers
+print with 6 significant digits; machine output keeps full precision.
 
 Exit codes: 0 ok, 2 parameter/config/parse error, 3 decision budget
 exceeded, 4 I/O error.
@@ -16,19 +17,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import montecarlo, scaling
 from .errors import BudgetExceeded, ConfigError, EdgeListFormatError, ParameterError
 from .graphs import read_edge_list, write_edge_list
-from .models import (
-    BinomialRigParams,
-    ErParams,
-    IntersectionSpec,
-    ModelSpec,
-    RggParams,
-    UniformRigParams,
-    sample_model,
-)
+from .models import SQUARE, TORUS, sample_model
 from .properties import DecisionBudget, PropertyKind, evaluate_property, k_robust_witness
 from .rng import RngStream
 
@@ -39,7 +33,6 @@ _PROPERTY_NAMES = {
     "hamilton": "hamilton_cycle",
     "robust": "k_robust",
 }
-_FAMILIES = ("er", "urig", "brig", "rgg", "urig_er", "urig_rgg")
 
 
 def _fmt(x: float) -> str:
@@ -66,22 +59,6 @@ def _property_from(kind: str, k: int) -> PropertyKind:
             f"unknown property {kind!r}; choose from {sorted(_PROPERTY_NAMES)}"
         )
     return PropertyKind(_PROPERTY_NAMES[kind], k)
-
-
-def _scaling_family(family: str, s: int, region: str | None) -> scaling.ModelFamily:
-    if family == "er":
-        return scaling.ModelFamily.er()
-    if family == "urig":
-        return scaling.ModelFamily.uniform_rig(s)
-    if family == "brig":
-        return scaling.ModelFamily.binomial_rig(s)
-    if family == "urig_er":
-        return scaling.ModelFamily.uniform_rig_er(s)
-    if family == "urig_rgg":
-        if region is None:
-            raise ParameterError("urig_rgg needs --region torus|square")
-        return scaling.ModelFamily.uniform_rig_rgg(region)
-    raise ParameterError(f"family {family!r} has no threshold scaling")
 
 
 # -- config handling -----------------------------------------------------------
@@ -128,30 +105,9 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _model_spec_from_dict(m: dict) -> ModelSpec:
-    family = m.get("family")
-    if family == "er":
-        return ErParams(int(m["n"]), float(m["q"]))
-    if family == "urig":
-        return UniformRigParams(int(m["n"]), int(m["K"]), int(m["P"]), int(m.get("s", 1)))
-    if family == "brig":
-        return BinomialRigParams(int(m["n"]), float(m["t"]), int(m["P"]), int(m.get("s", 1)))
-    if family == "rgg":
-        return RggParams(int(m["n"]), float(m["r"]), m.get("region", "torus"))
-    if family == "urig_er":
-        return IntersectionSpec((
-            UniformRigParams(int(m["n"]), int(m["K"]), int(m["P"]), int(m.get("s", 1))),
-            ErParams(int(m["n"]), float(m["q"])),
-        ))
-    if family == "urig_rgg":
-        return IntersectionSpec((
-            UniformRigParams(int(m["n"]), int(m["K"]), int(m["P"]), 1),
-            RggParams(int(m["n"]), float(m["r"]), m.get("region", "torus")),
-        ))
-    raise ConfigError(f"unknown model family {family!r}")
-
-
 def _family_params_from_dict(m: dict) -> scaling.FamilyParams:
+    if "n" not in m:
+        raise ConfigError("model needs 'n'")
     return scaling.FamilyParams(
         n=int(m["n"]),
         K=None if m.get("K") is None else int(m["K"]),
@@ -159,6 +115,12 @@ def _family_params_from_dict(m: dict) -> scaling.FamilyParams:
         t=None if m.get("t") is None else float(m["t"]),
         q=None if m.get("q") is None else float(m["q"]),
         r=None if m.get("r") is None else float(m["r"]),
+    )
+
+
+def _family_params_from_args(args) -> scaling.FamilyParams:
+    return scaling.FamilyParams(
+        n=args.n, K=args.K, P=args.P, t=args.t, q=args.q, r=args.r
     )
 
 
@@ -177,14 +139,8 @@ def _budget_from(doc: dict | None, args) -> DecisionBudget:
 
 
 def _cmd_generate(args) -> int:
-    m = {
-        "family": args.model, "n": args.n, "K": args.K, "P": args.P, "s": args.s,
-        "t": args.t, "q": args.q, "r": args.r, "region": args.region,
-    }
-    try:
-        spec = _model_spec_from_dict({k: v for k, v in m.items() if v is not None})
-    except KeyError as exc:
-        raise ParameterError(f"model {args.model!r} needs parameter {exc}") from None
+    family = scaling.ModelFamily.named(args.model, args.s, args.region)
+    spec = scaling.build_model_spec(family, _family_params_from_args(args))
     seed = _default_seed(args.seed, None)
     g = sample_model(spec, RngStream(seed, args.trial))
     if args.out:
@@ -215,7 +171,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_predict(args) -> int:
     prop = _property_from(args.property, args.k)
-    family = _scaling_family(args.family, args.s, args.region)
+    family = scaling.ModelFamily.named(args.family, args.s, args.region)
     spec = scaling.threshold_spec(family, prop)
     have_params = args.n is not None
     doc: dict = {
@@ -225,32 +181,31 @@ def _cmd_predict(args) -> int:
         "limit_form": spec.limit_form,
     }
     if have_params:
-        params = scaling.FamilyParams(
-            n=args.n, K=args.K, P=args.P, t=args.t, q=args.q, r=args.r
-        )
-        report = scaling.coupling_report(family, params, prop)
-        prediction = scaling.limiting_probability(spec, report.deviation)
+        params = _family_params_from_args(args)
+        coupling = scaling.coupling_value(family, params)
+        ctx = montecarlo.threshold_context(family, params, prop)
+        prediction = ctx.predicted_probability
         doc.update({
-            "coupling": report.coupling,
-            "implied_deviation": report.deviation,
+            "coupling": coupling,
+            "implied_deviation": ctx.implied_deviation,
             "predicted_probability": prediction,
             "side_conditions": [
                 {"name": c.name, "value": c.value, "ok": c.ok}
-                for c in report.side_conditions
+                for c in ctx.side_conditions
             ],
         })
         if not args.json:
-            print(f"coupling: {_fmt(report.coupling)}")
-            print(f"implied deviation: {_fmt(report.deviation)}")
+            print(f"coupling: {_fmt(coupling)}")
+            print(f"implied deviation: {_fmt(ctx.implied_deviation)}")
             print("limiting probability: "
                   + ("unspecified" if prediction is None else _fmt(prediction)))
-            for c in report.side_conditions:
+            for c in ctx.side_conditions:
                 print(f"side condition {c.name}: {_fmt(c.value)} "
                       f"[{'ok' if c.ok else 'flagged'}]")
     else:
         if args.deviation is None:
-            raise ParameterError("predict needs --deviation (or --alpha/--beta/...) "
-                                 "or full model parameters with --n")
+            raise ParameterError("predict needs --deviation or full model "
+                                 "parameters with --n")
         prediction = scaling.limiting_probability(spec, args.deviation)
         doc.update({
             "deviation": args.deviation,
@@ -266,15 +221,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_solve(args) -> int:
     prop = _property_from(args.property, args.k)
-    family = _scaling_family(args.family, args.s, args.region)
+    family = scaling.ModelFamily.named(args.family, args.s, args.region)
     if args.deviation is None:
-        raise ParameterError("solve needs --deviation (or --alpha/--beta/...)")
+        raise ParameterError("solve needs --deviation")
     if args.n is None:
         raise ParameterError("solve needs --n")
-    fixed = scaling.FamilyParams(
-        n=args.n, K=args.K, P=args.P, t=args.t, q=args.q, r=args.r
+    result = scaling.solve_param(
+        family, prop, args.n, args.deviation, _family_params_from_args(args)
     )
-    result = scaling.solve_param(family, prop, args.n, args.deviation, fixed)
     spec = scaling.threshold_spec(family, prop)
     best = result.best()
     if args.json:
@@ -308,7 +262,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _resolve_experiment(args, need_sweep: bool):
+@dataclass(frozen=True)
+class _Experiment:
+    """An ``experiment`` or ``sweep`` resolved from flags, config and environment."""
+
+    label: str
+    trials: int
+    seed: int
+    workers: int
+    budget: DecisionBudget
+    prop: PropertyKind
+    family: scaling.ModelFamily
+    params: scaling.FamilyParams
+    deviation: float | None  # solve target; None runs ``params`` as given
+    json_path: str | None
+    csv_path: str | None = None
+    timing: bool = False
+    axis: str | None = None
+    values: list | None = None
+
+
+def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
     doc = load_config(args.config) if args.config else {"schema": montecarlo.SCHEMA}
     label = args.label if args.label is not None else doc.get("label", "")
     trials = args.trials if args.trials is not None else doc.get("trials")
@@ -327,46 +301,35 @@ def _resolve_experiment(args, need_sweep: bool):
     model_doc = doc.get("model")
     if model_doc is None:
         raise ConfigError("config needs a 'model' section")
+    s = model_doc.get("s")
+    family = scaling.ModelFamily.named(
+        model_doc.get("family"), 1 if s is None else int(s), model_doc.get("region")
+    )
+    params = _family_params_from_dict(model_doc)
     solve_doc = doc.get("solve")
+    deviation = float(solve_doc["deviation"]) if solve_doc else None
     out = doc.get("output", {})
-    csv_path = args.csv if args.csv is not None else out.get("csv")
     json_path = args.summary if args.summary is not None else out.get("summary")
-    timing = bool(out.get("timing", False)) or args.timing
-    sweep_doc = doc.get("sweep")
-    if need_sweep:
-        axis = args.axis if args.axis is not None else (sweep_doc or {}).get("axis")
-        values = (
-            [float(x) for x in args.values.split(",")]
-            if args.values is not None
-            else (sweep_doc or {}).get("values")
+    common = dict(label=label, trials=trials, seed=seed, workers=workers, budget=budget,
+                  prop=prop, family=family, params=params, json_path=json_path)
+    if not need_sweep:
+        return _Experiment(
+            **common, deviation=deviation,
+            csv_path=args.csv if args.csv is not None else out.get("csv"),
+            timing=bool(out.get("timing", False)) or args.timing,
         )
-        if axis is None or values is None:
-            raise ConfigError("sweep needs axis and values (flags or config)")
-    else:
-        axis = values = None
-    family_name = model_doc.get("family")
-    if solve_doc is not None or need_sweep:
-        family = _scaling_family(
-            family_name, int(model_doc.get("s", 1)), model_doc.get("region")
-        )
-        fixed = _family_params_from_dict({**model_doc, "n": model_doc["n"]})
-        deviation = float(solve_doc["deviation"]) if solve_doc else 0.0
-        return (doc, label, trials, seed, workers, budget, prop, family, fixed,
-                deviation, csv_path, json_path, timing, axis, values, None)
-    spec = _model_spec_from_dict(model_doc)
-    ctx = None
-    if family_name in ("er", "urig", "brig", "urig_er", "urig_rgg"):
-        try:
-            family = _scaling_family(
-                family_name, int(model_doc.get("s", 1)), model_doc.get("region")
-            )
-            ctx = montecarlo.threshold_context(
-                family, _family_params_from_dict(model_doc), prop
-            )
-        except ParameterError:
-            ctx = None  # family/property without a law: run without prediction
-    return (doc, label, trials, seed, workers, budget, prop, None, None, None,
-            csv_path, json_path, timing, axis, values, (spec, ctx))
+    if out.get("csv") is not None:
+        raise ConfigError("sweeps write only the JSON summary; remove output.csv")
+    sweep_doc = doc.get("sweep") or {}
+    axis = args.axis if args.axis is not None else sweep_doc.get("axis")
+    values = (
+        [float(x) for x in args.values.split(",")]
+        if args.values is not None
+        else sweep_doc.get("values")
+    )
+    if axis is None or values is None:
+        raise ConfigError("sweep needs axis and values (flags or config)")
+    return _Experiment(**common, deviation=deviation or 0.0, axis=axis, values=values)
 
 
 def _print_summary(summary) -> None:
@@ -389,35 +352,37 @@ def _print_summary(summary) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    (doc, label, trials, seed, workers, budget, prop, family, fixed, deviation,
-     csv_path, json_path, timing, _axis, _values, explicit) = _resolve_experiment(
-        args, need_sweep=False)
-    if explicit is not None:
-        spec, ctx = explicit
+    run = _resolve_experiment(args, need_sweep=False)
+    if run.deviation is None:
+        spec = scaling.build_model_spec(run.family, run.params)
+        try:
+            ctx = montecarlo.threshold_context(run.family, run.params, run.prop)
+        except ParameterError:
+            ctx = None  # family/property without a law: run without prediction
         cfg = montecarlo.ExperimentConfig(
-            model=spec, prop=prop, trials=trials, seed=seed, budget=budget,
-            threshold=ctx, label=label,
+            model=spec, prop=run.prop, trials=run.trials, seed=run.seed,
+            budget=run.budget, threshold=ctx, label=run.label,
         )
     else:
         cfg = montecarlo.threshold_experiment(
-            family, prop, fixed.n, deviation, fixed, trials, seed, budget, label
+            run.family, run.prop, run.params.n, run.deviation, run.params,
+            run.trials, run.seed, run.budget, run.label,
         )
-    result = montecarlo.run_experiment(cfg, workers=workers)
-    if csv_path:
-        montecarlo.write_trials_csv(result.records, csv_path, timing=timing)
-    if json_path:
-        montecarlo.write_summary_json(result.summary, json_path)
+    result = montecarlo.run_experiment(cfg, workers=run.workers)
+    if run.csv_path:
+        montecarlo.write_trials_csv(result.records, run.csv_path, timing=run.timing)
+    if run.json_path:
+        montecarlo.write_summary_json(result.summary, run.json_path)
     _print_summary(result.summary)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    (doc, label, trials, seed, workers, budget, prop, family, fixed, deviation,
-     csv_path, json_path, timing, axis, values, _explicit) = _resolve_experiment(
-        args, need_sweep=True)
+    run = _resolve_experiment(args, need_sweep=True)
+    axis = run.axis
     points = montecarlo.sweep(
-        family, prop, fixed.n, fixed, axis, values, trials, seed,
-        budget=budget, workers=workers, deviation=deviation,
+        run.family, run.prop, run.params.n, run.params, axis, run.values, run.trials,
+        run.seed, budget=run.budget, workers=run.workers, deviation=run.deviation,
     )
     rows = []
     for pt in points:
@@ -435,9 +400,9 @@ def _cmd_sweep(args) -> int:
             "axis": axis, "value": pt.value,
             "summary": montecarlo.summary_to_json_dict(s),
         })
-    if json_path:
-        with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump({"schema": montecarlo.SCHEMA, "label": label, "points": rows},
+    if run.json_path:
+        with open(run.json_path, "w", encoding="ascii", newline="\n") as fh:
+            json.dump({"schema": montecarlo.SCHEMA, "label": run.label, "points": rows},
                       fh, indent=2)
             fh.write("\n")
     return 0
@@ -446,20 +411,10 @@ def _cmd_sweep(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_deviation_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
-    for flag in ("--deviation", "--alpha", "--beta", "--gamma", "--delta"):
-        g.add_argument(flag, dest="deviation", type=float, default=None,
-                       help="target deviation from the critical scaling"
-                       if flag == "--deviation" else argparse.SUPPRESS)
-
-
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=("er", "urig", "brig", "urig_er", "urig_rgg"))
+def _add_model_flags(p: argparse.ArgumentParser, n_required: bool) -> None:
     p.add_argument("--s", type=int, default=1, help="required ring overlap")
-    p.add_argument("--region", choices=("torus", "square"), default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--region", choices=(TORUS, SQUARE), default=None)
+    p.add_argument("--n", type=int, required=n_required, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--P", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
@@ -490,15 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a graph and write its edge list")
-    p.add_argument("--model", required=True, choices=_FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--P", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--region", choices=("torus", "square"), default=None)
+    p.add_argument("--model", required=True, choices=tuple(scaling.FAMILIES))
+    _add_model_flags(p, n_required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trial", type=int, default=0, help="trial index within the seed")
     p.add_argument("--out", default=None)
@@ -511,16 +459,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("predict", help="limiting probability of a threshold law")
-    _add_family_flags(p)
+    p.add_argument("--family", required=True, choices=scaling.LAW_FAMILIES)
+    _add_model_flags(p, n_required=False)
     _add_property_flags(p)
-    _add_deviation_flags(p)
+    p.add_argument("--deviation", type=float, default=None,
+                   help="target deviation from the critical scaling")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("solve", help="solve the scaling for the free parameter")
-    _add_family_flags(p)
+    p.add_argument("--family", required=True, choices=scaling.LAW_FAMILIES)
+    _add_model_flags(p, n_required=False)
     _add_property_flags(p)
-    _add_deviation_flags(p)
+    p.add_argument("--deviation", type=float, default=None,
+                   help="target deviation from the critical scaling")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -534,11 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--label", default=None)
-        p.add_argument("--csv", default=None, help="per-trial CSV output path")
         p.add_argument("--summary", default=None, help="JSON summary output path")
-        p.add_argument("--timing", action="store_true",
-                       help="write real per-trial millis (breaks byte-identical reruns)")
-        if name == "sweep":
+        if name == "experiment":
+            p.add_argument("--csv", default=None, help="per-trial CSV output path")
+            p.add_argument("--timing", action="store_true",
+                           help="write real per-trial millis (breaks byte-identical reruns)")
+        else:
             p.add_argument("--axis", choices=("deviation", "n", "k"), default=None)
             p.add_argument("--values", default=None, help="comma-separated axis values")
         p.set_defaults(func=_cmd_experiment if name == "experiment" else _cmd_sweep)

@@ -20,12 +20,10 @@ streams give identical graphs regardless of platform or thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .graphs import Graph, intersect_graphs
@@ -143,12 +141,6 @@ class ItemAssignment:
                 raise ParameterError("item id out of pool range")
             if len(set(ring)) != len(ring):
                 raise ParameterError("duplicate item in a ring")
-
-    def to_text(self) -> str:
-        return "".join(
-            f"{v}: {','.join(str(i) for i in ring)}\n"
-            for v, ring in enumerate(self.rings)
-        )
 
 
 def _distinct_items(rng: np.random.Generator, P: int, sizes: np.ndarray) -> list[list[int]]:
@@ -313,21 +305,14 @@ def sample_rgg(p: RggParams, rng: RngStream) -> tuple[Graph, np.ndarray]:
     Torus distance wraps each coordinate difference to ``min(|d|, 1-|d|)``;
     distances exactly equal to r count as edges.
     """
-    gen = rng.generator()
-    points = gen.random((p.n, 2))
-    if p.region == TORUS:
-        tree = cKDTree(points, boxsize=[1.0, 1.0])
-    else:
-        tree = cKDTree(points)
-    pairs = tree.query_pairs(p.r, output_type="ndarray")
-    if pairs.size == 0:
-        return Graph.empty(p.n), points
-    g = Graph.from_edge_arrays(p.n, pairs[:, 0], pairs[:, 1])
-    return g, points
+    points = rng.generator().random((p.n, 2))
+    return rgg_from_points(points, p.r, p.region), points
 
 
 def rgg_from_points(points: np.ndarray, r: float, region: str = SQUARE) -> Graph:
-    """Disk graph of explicitly given points; mainly for tests and demos."""
+    """Disk graph of explicitly given points."""
+    from scipy.spatial import cKDTree  # imported here: loading it slows `import riglab`
+
     n = len(points)
     if region == TORUS:
         tree = cKDTree(points, boxsize=[1.0, 1.0])
@@ -359,8 +344,3 @@ def sample_model(spec: ModelSpec, rng: RngStream) -> Graph:
             out = intersect_graphs(out, g)
         return out
     raise ParameterError(f"unknown model spec {spec!r}")
-
-
-def exact_max_torus_distance() -> float:
-    """Largest possible torus distance on the unit square: sqrt(2)/2."""
-    return math.sqrt(2.0) / 2.0

@@ -20,19 +20,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import scaling
 from .errors import BudgetExceeded, ParameterError
-from .graphs import Graph, is_connected
-from .models import (
-    BinomialRigParams,
-    ErParams,
-    IntersectionSpec,
-    ModelSpec,
-    RggParams,
-    UniformRigParams,
-)
+from .graphs import is_connected
+from .models import IntersectionSpec, ModelSpec
 from .properties import (
     DEFAULT_BUDGET,
     HAMILTON_CYCLE,
@@ -140,17 +133,12 @@ class ExperimentResult:
 
 
 def describe_model(spec: ModelSpec) -> dict:
-    if isinstance(spec, UniformRigParams):
-        return {"family": "urig", "n": spec.n, "K": spec.K, "P": spec.P, "s": spec.s}
-    if isinstance(spec, BinomialRigParams):
-        return {"family": "brig", "n": spec.n, "t": spec.t, "P": spec.P, "s": spec.s}
-    if isinstance(spec, ErParams):
-        return {"family": "er", "n": spec.n, "q": spec.q}
-    if isinstance(spec, RggParams):
-        return {"family": "rgg", "n": spec.n, "r": spec.r, "region": spec.region}
     if isinstance(spec, IntersectionSpec):
         return {"family": "intersection", "n": spec.n,
                 "parts": [describe_model(p) for p in spec.parts]}
+    for name, row in scaling.FAMILIES.items():
+        if row.model is type(spec):
+            return {"family": name, **asdict(spec)}
     raise ParameterError(f"unknown model spec {spec!r}")
 
 
@@ -337,6 +325,8 @@ def sweep(
     """
     if axis not in ("deviation", "n", "k"):
         raise ParameterError("axis must be one of deviation | n | k")
+    if family.kind not in scaling.LAW_FAMILIES:
+        raise ParameterError(f"{family.label()} has no threshold scaling to sweep")
     points: list[SweepPoint] = []
     for i, value in enumerate(values):
         dev, nn, pp = deviation, n, prop

@@ -211,10 +211,6 @@ def max_matching_size(g: Graph) -> int:
     return _matching.max_matching_size(g)
 
 
-def maximum_matching(g: Graph) -> list[int]:
-    return _matching.maximum_matching(g)
-
-
 def has_near_perfect_matching(g: Graph) -> bool:
     return _matching.has_near_perfect_matching(g)
 

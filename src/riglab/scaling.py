@@ -9,9 +9,15 @@ family                 coupling
 uniform RIG  G_s       K^{2s} / (s! P^s)
 binomial RIG H_s       t^{2s} P^s / s!
 Erdos-Renyi            q
+disk model (rgg)       none: sampled only, no law
 G_s intersect ER       exact edge probability of G_s times q
 G_1 intersect RGG      pi r^2 K^2 / P
 =====================  =====================================
+
+The table above is a summary; the single source of every family fact
+(its parameters, sampler spec, edge probability, coupling and its
+inverses, laws and side conditions) is :data:`FAMILIES`, one row per
+family, which every function here and the command line read.
 
 For the intersection-graph and Erdos-Renyi families the law reads
 ``coupling = (ln n + c ln ln n + dev)/n`` where the ln ln n coefficient c
@@ -36,12 +42,13 @@ re-annotated with the deviation its rounded value actually implies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-from scipy.special import betainc
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping
 
 from .errors import ParameterError
 from .models import (
+    SQUARE,
+    TORUS,
     BinomialRigParams,
     ErParams,
     IntersectionSpec,
@@ -61,6 +68,7 @@ from .properties import (
 URIG = "urig"
 BRIG = "brig"
 ER = "er"
+RGG = "rgg"
 URIG_ER = "urig_er"
 URIG_RGG = "urig_rgg"
 
@@ -70,6 +78,14 @@ ZERO_ONE = "zero_one"
 RGG_TORUS = "rgg_torus"
 RGG_SQUARE = "rgg_square"
 
+_LIMIT_FORMS = {
+    MIN_DEGREE: POISSON_KCONN,
+    K_CONNECTED: POISSON_KCONN,
+    NEAR_PERFECT_MATCHING: GUMBEL,
+    HAMILTON_CYCLE: GUMBEL,
+    K_ROBUST: ZERO_ONE,
+}
+
 
 @dataclass(frozen=True)
 class ModelFamily:
@@ -78,17 +94,27 @@ class ModelFamily:
     region: str | None = None
 
     def __post_init__(self):
-        if self.kind not in (URIG, BRIG, ER, URIG_ER, URIG_RGG):
+        if self.kind not in FAMILIES:
             raise ParameterError(f"unknown family kind {self.kind!r}")
         if self.s < 1:
             raise ParameterError("s must be >= 1")
-        if self.kind == URIG_RGG:
-            if self.region not in ("torus", "square"):
-                raise ParameterError("geometric composition needs a region")
+        if FAMILIES[self.kind].geometric:
+            if self.region not in (TORUS, SQUARE):
+                raise ParameterError("a geometric family needs region torus or square")
             if self.s != 1:
-                raise ParameterError("geometric composition is defined for s=1")
+                raise ParameterError("geometric families are defined for s=1")
         elif self.region is not None:
-            raise ParameterError("region only applies to the geometric composition")
+            raise ParameterError("region only applies to the geometric families")
+
+    @classmethod
+    def named(cls, name: str, s: int = 1, region: str | None = None) -> "ModelFamily":
+        """The family a command line or config names. ``s`` and ``region``
+        are ignored where the family has none; a geometric family given no
+        region lives on the torus, as its sampler does."""
+        row = FAMILIES.get(name)
+        if row is None:
+            raise ParameterError(f"unknown family {name!r}; choose from {list(FAMILIES)}")
+        return cls(name, s if row.has_s else 1, (region or TORUS) if row.geometric else None)
 
     @classmethod
     def uniform_rig(cls, s: int = 1) -> "ModelFamily":
@@ -111,9 +137,10 @@ class ModelFamily:
         return cls(URIG_RGG, 1, region)
 
     def label(self) -> str:
-        if self.kind == URIG_RGG:
-            return f"urig_rgg[{self.region}]"
-        if self.kind in (URIG, BRIG, URIG_ER) and self.s != 1:
+        row = FAMILIES[self.kind]
+        if row.geometric:
+            return f"{self.kind}[{self.region}]"
+        if row.has_s and self.s != 1:
             return f"{self.kind}[s={self.s}]"
         return self.kind
 
@@ -154,15 +181,6 @@ class ThresholdSpec:
 
 
 @dataclass(frozen=True)
-class CouplingReport:
-    family: ModelFamily
-    property: PropertyKind
-    coupling: float
-    deviation: float
-    side_conditions: tuple[SideCondition, ...]
-
-
-@dataclass(frozen=True)
 class Candidate:
     value: float
     implied_deviation: float
@@ -185,6 +203,159 @@ class SolveResult:
         )
 
 
+# -- the family table ----------------------------------------------------------
+#
+# Row functions take (family, params) and may assume the row's ``needs``
+# are set; inverses also take the target coupling, which is positive
+# (q may also be solved for a zero target).
+
+
+def _urig_er_q(f: ModelFamily, p: FamilyParams, c: float) -> float:
+    p_rig = uniform_overlap_tail(p.K, p.P, f.s)
+    if p_rig == 0.0:
+        raise ParameterError("ring overlap probability is zero; K too small")
+    return c / p_rig
+
+
+def _urig_er_K(f: ModelFamily, p: FamilyParams, c: float) -> float:
+    # The asymptotic G_s coupling thinned by q, not the exact overlap tail.
+    if p.q == 0.0:
+        raise ParameterError("q = 0 cannot reach a positive coupling")
+    return (math.factorial(f.s) * c / p.q) ** (1.0 / (2 * f.s)) * math.sqrt(p.P)
+
+
+def _cond(name, description, value, ok) -> SideCondition:
+    return SideCondition(name, description, float(value), bool(ok))
+
+
+def _pool_exponent(p: FamilyParams, bound: float) -> SideCondition:
+    expo = math.log(p.P) / math.log(p.n)
+    return _cond("log_n P", f"pool growth exponent must exceed {bound:.3g}",
+                 expo, expo > bound)
+
+
+def _pool_over_n(p: FamilyParams) -> SideCondition:
+    return _cond("P/n", "pool at least proportional to n", p.P / p.n, p.P / p.n >= 1.0)
+
+
+def _pool_over_ln5(p: FamilyParams) -> SideCondition:
+    ln5 = p.P / (p.n * math.log(p.n) ** 5)
+    return _cond("P/(n ln^5 n)", "pool above n (ln n)^5", ln5, ln5 >= 1.0)
+
+
+def _urig_conditions(f: ModelFamily, p: FamilyParams, prop: PropertyKind):
+    if f.s >= 2:
+        return (_pool_exponent(p, 2.0 - 1.0 / f.s),)
+    if prop.kind in (MIN_DEGREE, K_CONNECTED):
+        return (_pool_over_n(p),)
+    return (_pool_over_ln5(p),)
+
+
+def _brig_conditions(f: ModelFamily, p: FamilyParams, prop: PropertyKind):
+    if f.s >= 2:
+        return (_pool_exponent(p, 2.0 - 1.0 / f.s),)
+    if prop.kind == NEAR_PERFECT_MATCHING:
+        return (_pool_exponent(p, 1.0),)
+    return (_pool_over_ln5(p),)
+
+
+def _urig_er_conditions(f: ModelFamily, p: FamilyParams, prop: PropertyKind):
+    return (
+        _pool_over_n(p),
+        _cond("K/P", "ring negligible against pool (o(1) proxy)",
+              p.K / p.P, p.K / p.P <= 0.1),
+    )
+
+
+def _urig_rgg_conditions(f: ModelFamily, p: FamilyParams, prop: PropertyKind):
+    ln_n = math.log(p.n)
+    density = p.K * p.K / p.P
+    return (
+        _cond("K/ln n", "ring grows past ln n", p.K / ln_n, p.K / ln_n >= 1.0),
+        _cond("(K^2/P) ln n", "ring density at most order 1/ln n",
+              density * ln_n, density * ln_n <= 1.0),
+        _cond("(K^2/P)/(ln n/n)", "ring density past ln n/n",
+              density / (ln_n / p.n), density / (ln_n / p.n) >= 1.0),
+        _cond("K n/P", "K below P/n (o(1/n) proxy)",
+              p.K * p.n / p.P, p.K * p.n / p.P <= 0.1),
+    )
+
+
+@dataclass(frozen=True)
+class FamilyRow:
+    """Everything the lab knows about one model family.
+
+    ``model`` is the sampler spec type, whose fields are named after the
+    ``FamilyParams`` and ``ModelFamily`` fields they take, or for a
+    composition the names of the rows it intersects; a composition's exact
+    edge probability is the product of its parts'. A row without a
+    coupling can be sampled but has no threshold law. ``inverse`` maps each
+    parameter :func:`solve_param` may free to the inverse of the coupling.
+    """
+
+    needs: tuple[str, ...]
+    model: type | tuple[str, ...]
+    edge_probability: Callable[[ModelFamily, FamilyParams], float] | None = None
+    coupling: Callable[[ModelFamily, FamilyParams], float] | None = None
+    inverse: Mapping[str, Callable[[ModelFamily, FamilyParams, float], float]] = field(
+        default_factory=dict)
+    laws: tuple[str, ...] = ()
+    side_conditions: Callable[..., tuple[SideCondition, ...]] = lambda f, p, prop: ()
+    has_s: bool = False
+    geometric: bool = False
+
+
+_ALL_LAWS = tuple(_LIMIT_FORMS)
+
+FAMILIES: dict[str, FamilyRow] = {
+    ER: FamilyRow(
+        needs=("q",), model=ErParams,
+        edge_probability=lambda f, p: p.q,
+        coupling=lambda f, p: p.q,
+        inverse={"q": lambda f, p, c: c},
+        laws=_ALL_LAWS,
+    ),
+    URIG: FamilyRow(
+        needs=("K", "P"), model=UniformRigParams,
+        edge_probability=lambda f, p: uniform_overlap_tail(p.K, p.P, f.s),
+        coupling=lambda f, p: (p.K ** (2 * f.s)) / (math.factorial(f.s) * p.P**f.s),
+        inverse={"K": lambda f, p, c: (
+            (math.factorial(f.s) * c) ** (1.0 / (2 * f.s)) * math.sqrt(p.P))},
+        laws=_ALL_LAWS, side_conditions=_urig_conditions, has_s=True,
+    ),
+    BRIG: FamilyRow(
+        needs=("t", "P"), model=BinomialRigParams,
+        edge_probability=lambda f, p: binomial_overlap_tail(p.t, p.P, f.s),
+        coupling=lambda f, p: (p.t ** (2 * f.s)) * (p.P**f.s) / math.factorial(f.s),
+        inverse={"t": lambda f, p, c: (
+            (math.factorial(f.s) * c / p.P**f.s) ** (1.0 / (2 * f.s)))},
+        laws=_ALL_LAWS, side_conditions=_brig_conditions, has_s=True,
+    ),
+    RGG: FamilyRow(
+        needs=("r",), model=RggParams,
+        edge_probability=lambda f, p: min(math.pi * p.r * p.r, 1.0),
+        geometric=True,
+    ),
+    # Only the minimum-degree law is known for s >= 2; k-connectivity
+    # requests get it as an audit surrogate.
+    URIG_ER: FamilyRow(
+        needs=("K", "P", "q"), model=(URIG, ER),
+        coupling=lambda f, p: exact_edge_probability(f, p),
+        inverse={"q": _urig_er_q, "K": _urig_er_K},
+        laws=(MIN_DEGREE, K_CONNECTED), side_conditions=_urig_er_conditions, has_s=True,
+    ),
+    URIG_RGG: FamilyRow(
+        needs=("K", "P", "r"), model=(URIG, RGG),
+        coupling=lambda f, p: math.pi * p.r * p.r * p.K**2 / p.P,
+        inverse={"r": lambda f, p, c: math.sqrt(c * p.P / (math.pi * p.K**2))},
+        laws=(K_CONNECTED,), side_conditions=_urig_rgg_conditions, geometric=True,
+    ),
+}
+
+# Families with a threshold law, in table order.
+LAW_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.coupling is not None)
+
+
 # -- thresholds -------------------------------------------------------------
 
 
@@ -201,32 +372,15 @@ def lnln_offset(prop: PropertyKind) -> int:
 def threshold_spec(family: ModelFamily, prop: PropertyKind) -> ThresholdSpec:
     """The threshold law for this family/property pair.
 
-    The uniform-RIG x ER composition has a k-connectivity law for s=1; for
-    s >= 2 only its minimum-degree law is known, and requesting
-    k-connectivity returns that law as an audit surrogate.
+    The geometric composition has only its connectivity (k=1) law.
     """
-    if family.kind == URIG_RGG:
-        if prop.kind != K_CONNECTED or prop.k != 1:
-            raise ParameterError(
-                "the geometric composition only has a connectivity law"
-            )
-        form = RGG_TORUS if family.region == "torus" else RGG_SQUARE
+    row = FAMILIES[family.kind]
+    if prop.kind not in row.laws or (row.geometric and prop.k != 1):
+        raise ParameterError(f"no {prop.label()} law for {family.label()}")
+    if row.geometric:
+        form = RGG_TORUS if family.region == TORUS else RGG_SQUARE
         return ThresholdSpec(family, prop, 0, form)
-    if prop.kind in (MIN_DEGREE, K_CONNECTED):
-        form = POISSON_KCONN
-    elif prop.kind in (NEAR_PERFECT_MATCHING, HAMILTON_CYCLE):
-        if family.kind == URIG_ER:
-            raise ParameterError(
-                "no matching/Hamilton law for the ER composition"
-            )
-        form = GUMBEL
-    elif prop.kind == K_ROBUST:
-        if family.kind == URIG_ER:
-            raise ParameterError("no robustness law for the ER composition")
-        form = ZERO_ONE
-    else:
-        raise ParameterError(f"no threshold law for {prop!r}")
-    return ThresholdSpec(family, prop, lnln_offset(prop), form)
+    return ThresholdSpec(family, prop, lnln_offset(prop), _LIMIT_FORMS[prop.kind])
 
 
 def limiting_probability(spec: ThresholdSpec, deviation: float) -> float | None:
@@ -295,71 +449,43 @@ def binomial_overlap_tail(t: float, P: int, s: int) -> float:
     p2 = t * t
     if p2 == 0.0:
         return 0.0
+    from scipy.special import betainc  # imported here: loading it slows `import riglab`
+
     return float(betainc(s, P - s + 1, p2))
 
 
 def exact_edge_probability(family: ModelFamily, params: FamilyParams) -> float:
     """Finite-n edge probability; compositions multiply their parts."""
-    if family.kind == URIG:
-        params.require("K", "P")
-        return uniform_overlap_tail(params.K, params.P, family.s)
-    if family.kind == BRIG:
-        params.require("t", "P")
-        return binomial_overlap_tail(params.t, params.P, family.s)
-    if family.kind == ER:
-        params.require("q")
-        return params.q
-    if family.kind == URIG_ER:
-        params.require("K", "P", "q")
-        return uniform_overlap_tail(params.K, params.P, family.s) * params.q
-    if family.kind == URIG_RGG:
-        params.require("K", "P", "r")
-        disk = min(math.pi * params.r * params.r, 1.0)
-        return uniform_overlap_tail(params.K, params.P, 1) * disk
-    raise ParameterError(f"unknown family {family!r}")
+    row = FAMILIES[family.kind]
+    params.require(*row.needs)
+    if isinstance(row.model, tuple):
+        return math.prod(
+            FAMILIES[part].edge_probability(family, params) for part in row.model
+        )
+    return row.edge_probability(family, params)
 
 
 def coupling_value(family: ModelFamily, params: FamilyParams) -> float:
-    if family.kind == URIG:
-        params.require("K", "P")
-        s = family.s
-        return (params.K ** (2 * s)) / (math.factorial(s) * params.P**s)
-    if family.kind == BRIG:
-        params.require("t", "P")
-        s = family.s
-        return (params.t ** (2 * s)) * (params.P**s) / math.factorial(s)
-    if family.kind == ER:
-        params.require("q")
-        return params.q
-    if family.kind == URIG_ER:
-        params.require("K", "P", "q")
-        return uniform_overlap_tail(params.K, params.P, family.s) * params.q
-    if family.kind == URIG_RGG:
-        params.require("K", "P", "r")
-        return math.pi * params.r * params.r * params.K**2 / params.P
-    raise ParameterError(f"unknown family {family!r}")
+    row = FAMILIES[family.kind]
+    if row.coupling is None:
+        raise ParameterError(f"{family.label()} has no threshold law")
+    params.require(*row.needs)
+    return row.coupling(family, params)
 
 
 def rgg_square_threshold(params: FamilyParams, n: int) -> float:
-    """Geometric constant b for the unit square with boundary effect.
-
-    The scaling denominator is ``ln(n P/K^2)/n`` in the dense-ring branch
-    (K^2/P above 1/(n^{1/3} ln n)) and ``4 ln(P/K^2)/n`` below it.
-    """
+    """Geometric constant b for the unit square with boundary effect."""
     params.require("K", "P", "r")
     density = params.K**2 / params.P
-    split = 1.0 / (n ** (1.0 / 3.0) * math.log(n))
-    if density > split:
-        denom = math.log(n * params.P / params.K**2) / n
-    else:
-        denom = 4.0 * math.log(params.P / params.K**2) / n
-    if denom <= 0:
-        raise ParameterError("square threshold denominator is non-positive here")
-    return math.pi * params.r**2 * density / denom
+    return math.pi * params.r**2 * density / _rgg_denominator(SQUARE, params, n)
 
 
-def _rgg_denominator(family: ModelFamily, params: FamilyParams, n: int) -> float:
-    if family.region == "torus":
+def _rgg_denominator(region: str, params: FamilyParams, n: int) -> float:
+    """Threshold denominator of the geometric compositions: ``ln n/n`` on
+    the torus. On the square it is ``ln(n P/K^2)/n`` in the dense-ring
+    branch (K^2/P above 1/(n^{1/3} ln n)) and ``4 ln(P/K^2)/n`` below it.
+    """
+    if region == TORUS:
         return math.log(n) / n
     density = params.K**2 / params.P
     split = 1.0 / (n ** (1.0 / 3.0) * math.log(n))
@@ -384,8 +510,8 @@ def deviation_from_params(
     if n < 3:
         raise ParameterError("need n >= 3 so ln ln n is defined and positive")
     coupling = coupling_value(family, params)
-    if family.kind == URIG_RGG:
-        return coupling / _rgg_denominator(family, params, n)
+    if FAMILIES[family.kind].geometric:
+        return coupling / _rgg_denominator(family.region, params, n)
     c = lnln_offset(prop)
     return n * coupling - math.log(n) - c * math.log(math.log(n))
 
@@ -399,10 +525,18 @@ def _target_coupling(
 ) -> float:
     if n < 3:
         raise ParameterError("need n >= 3")
-    if family.kind == URIG_RGG:
-        return deviation * _rgg_denominator(family, params, n)
+    if FAMILIES[family.kind].geometric:
+        return deviation * _rgg_denominator(family.region, params, n)
     c = lnln_offset(prop)
     return (math.log(n) + c * math.log(math.log(n)) + deviation) / n
+
+
+def _bounds(name: str, family: ModelFamily, fixed: FamilyParams) -> tuple:
+    """Bounds rule of a solvable parameter: K is an integer in [s, P], t and
+    q lie in [0, 1] and r is at least 0."""
+    if name == "K":
+        return family.s, fixed.P
+    return 0.0, math.inf if name == "r" else 1.0
 
 
 def solve_param(
@@ -414,175 +548,52 @@ def solve_param(
 ) -> SolveResult:
     """Solve the threshold scaling for the family's free parameter.
 
-    The real-valued solution is reported together with rounded (integer K)
-    or clamped candidates, each annotated with the deviation it actually
-    implies; downstream predictions must use those implied deviations.
-    Targets below the achievable minimum clamp to the smallest valid
-    parameter; targets above the achievable maximum (q or t past 1, K past
-    P) raise :class:`ParameterError`.
+    A family with several solvable parameters needs exactly one of them
+    unset in ``fixed``. The real-valued solution is reported together with
+    rounded (integer K) or clamped candidates, each annotated with the
+    deviation it actually implies; downstream predictions must use those
+    implied deviations. Targets below the achievable minimum clamp to the
+    smallest valid parameter; targets above the achievable maximum (q or t
+    past 1, K past P) raise :class:`ParameterError`.
     """
     fixed = replace(fixed, n=n)
-    if family.kind == URIG:
-        return _solve_urig_K(family, prop, n, deviation, fixed)
-    if family.kind == BRIG:
-        return _solve_brig_t(family, prop, n, deviation, fixed)
-    if family.kind == ER:
-        return _solve_er_q(family, prop, n, deviation, fixed)
-    if family.kind == URIG_ER:
-        if fixed.q is None and fixed.K is not None:
-            return _solve_urig_er_q(family, prop, n, deviation, fixed)
-        if fixed.K is None and fixed.q is not None:
-            return _solve_urig_er_K(family, prop, n, deviation, fixed)
-        raise ParameterError("composition solve needs exactly one of q, K free")
-    if family.kind == URIG_RGG:
-        return _solve_rgg_r(family, prop, n, deviation, fixed)
-    raise ParameterError(f"unknown family {family!r}")
-
-
-def _candidate(family, prop, params: FamilyParams) -> Candidate:
-    dev = deviation_from_params(family, params, prop)
-    value = next(
-        getattr(params, f) for f in ("K", "t", "q", "r") if getattr(params, f) is not None
-    )
-    return Candidate(value, dev, params)
-
-
-def _int_candidates(
-    family, prop, fixed: FamilyParams, field: str, real: float, lo: int, hi: int
-) -> list[FamilyParams]:
-    vals = sorted({min(max(int(math.floor(real)), lo), hi),
-                   min(max(int(math.ceil(real)), lo), hi)})
-    return [replace(fixed, **{field: v}) for v in vals]
-
-
-def _solve_urig_K(family, prop, n, deviation, fixed) -> SolveResult:
-    fixed.require("P")
-    s = family.s
+    row = FAMILIES[family.kind]
+    free = list(row.inverse)
+    if len(free) > 1:
+        free = [x for x in free if getattr(fixed, x) is None]
+    if len(free) != 1:
+        if not row.inverse:
+            raise ParameterError(f"{family.label()} has no threshold scaling")
+        raise ParameterError(
+            f"{family.label()} solve needs exactly one of {list(row.inverse)} free"
+        )
+    name = free[0]
+    fixed.require(*(x for x in row.needs if x != name))
+    lo, hi = _bounds(name, family, fixed)
     c = _target_coupling(family, prop, n, deviation, fixed)
-    clamped = False
-    if c <= 0:
-        k_real = float(s)
-        clamped = True
+    # q = 0 meets a zero target exactly; K, t and r take a non-positive
+    # target to their lowest value and report it as clamped.
+    clamped = c < 0 if name == "q" else c <= 0
+    real = float(lo) if clamped else row.inverse[name](family, fixed, c)
+    if real > hi:
+        raise ParameterError(
+            f"target deviation needs {name} = {real:.6g}, above its largest value {hi:g}"
+        )
+    if real < lo:
+        real, clamped = float(lo), True
+    if name == "K":
+        values = sorted({min(max(math.floor(real), lo), hi),
+                         min(max(math.ceil(real), lo), hi)})
     else:
-        k_real = (math.factorial(s) * c) ** (1.0 / (2 * s)) * math.sqrt(fixed.P)
-        if k_real > fixed.P:
-            raise ParameterError(
-                f"target deviation needs K ~ {k_real:.3g} > P = {fixed.P}"
-            )
-        if k_real < s:
-            k_real = float(s)
-            clamped = True
-    cands = [
-        Candidate(p.K, deviation_from_params(family, p, prop), p)
-        for p in _int_candidates(family, prop, fixed, "K", k_real, s, fixed.P)
-    ]
-    return SolveResult("K", k_real, clamped, deviation, tuple(cands))
-
-
-def _solve_brig_t(family, prop, n, deviation, fixed) -> SolveResult:
-    fixed.require("P")
-    s = family.s
-    c = _target_coupling(family, prop, n, deviation, fixed)
-    clamped = False
-    if c <= 0:
-        t_real = 0.0
-        clamped = True
-    else:
-        t_real = (math.factorial(s) * c / fixed.P**s) ** (1.0 / (2 * s))
-        if t_real > 1.0:
-            raise ParameterError(f"target deviation needs t = {t_real:.6g} > 1")
-    p = replace(fixed, t=t_real)
-    return SolveResult(
-        "t", t_real, clamped, deviation,
-        (Candidate(t_real, deviation_from_params(family, p, prop), p),),
-    )
-
-
-def _solve_er_q(family, prop, n, deviation, fixed) -> SolveResult:
-    c = _target_coupling(family, prop, n, deviation, fixed)
-    clamped = False
-    if c < 0:
-        c = 0.0
-        clamped = True
-    if c > 1.0:
-        raise ParameterError(f"target deviation needs q = {c:.6g} > 1")
-    p = replace(fixed, q=c)
-    return SolveResult(
-        "q", c, clamped, deviation,
-        (Candidate(c, deviation_from_params(family, p, prop), p),),
-    )
-
-
-def _solve_urig_er_q(family, prop, n, deviation, fixed) -> SolveResult:
-    fixed.require("K", "P")
-    c = _target_coupling(family, prop, n, deviation, fixed)
-    p_rig = uniform_overlap_tail(fixed.K, fixed.P, family.s)
-    clamped = False
-    if c < 0:
-        q = 0.0
-        clamped = True
-    else:
-        if p_rig == 0.0:
-            raise ParameterError("ring overlap probability is zero; K too small")
-        q = c / p_rig
-        if q > 1.0:
-            raise ParameterError(
-                f"target deviation needs q = {q:.6g} > 1 at K={fixed.K}, P={fixed.P}"
-            )
-    p = replace(fixed, q=q)
-    return SolveResult(
-        "q", q, clamped, deviation,
-        (Candidate(q, deviation_from_params(family, p, prop), p),),
-    )
-
-
-def _solve_urig_er_K(family, prop, n, deviation, fixed) -> SolveResult:
-    fixed.require("P", "q")
-    s = family.s
-    c = _target_coupling(family, prop, n, deviation, fixed)
-    clamped = False
-    if c <= 0:
-        k_real = float(s)
-        clamped = True
-    else:
-        if fixed.q == 0.0:
-            raise ParameterError("q = 0 cannot reach a positive coupling")
-        k_real = (math.factorial(s) * c / fixed.q) ** (1.0 / (2 * s)) * math.sqrt(fixed.P)
-        if k_real > fixed.P:
-            raise ParameterError(
-                f"target deviation needs K ~ {k_real:.3g} > P = {fixed.P}"
-            )
-        if k_real < s:
-            k_real = float(s)
-            clamped = True
-    cands = [
-        Candidate(p.K, deviation_from_params(family, p, prop), p)
-        for p in _int_candidates(family, prop, fixed, "K", k_real, s, fixed.P)
-    ]
-    return SolveResult("K", k_real, clamped, deviation, tuple(cands))
-
-
-def _solve_rgg_r(family, prop, n, deviation, fixed) -> SolveResult:
-    fixed.require("K", "P")
-    clamped = False
-    if deviation <= 0:
-        r_real = 0.0
-        clamped = True
-    else:
-        c = _target_coupling(family, prop, n, deviation, fixed)
-        r_real = math.sqrt(c * fixed.P / (math.pi * fixed.K**2))
-    p = replace(fixed, r=r_real)
-    return SolveResult(
-        "r", r_real, clamped, deviation,
-        (Candidate(r_real, deviation_from_params(family, p, prop), p),),
-    )
+        values = [real]
+    candidates = []
+    for v in values:
+        p = replace(fixed, **{name: v})
+        candidates.append(Candidate(v, deviation_from_params(family, p, prop), p))
+    return SolveResult(name, real, clamped, deviation, tuple(candidates))
 
 
 # -- side conditions ----------------------------------------------------------
-
-
-def _cond(name, description, value, ok) -> SideCondition:
-    return SideCondition(name, description, float(value), bool(ok))
 
 
 def side_conditions(
@@ -596,94 +607,26 @@ def side_conditions(
     <= 0.1 and <= 1 respectively, and power-law exponents compare
     ``log_n P`` against the stated constant.
     """
-    n = params.n
-    ln_n = math.log(n)
-    out: list[SideCondition] = []
-    if family.kind == ER:
-        return ()
-    if family.kind in (URIG, BRIG):
-        P = params.P
-        if family.s >= 2:
-            expo = math.log(P) / ln_n
-            bound = 2.0 - 1.0 / family.s
-            out.append(_cond(
-                "log_n P", f"pool growth exponent must exceed {bound:.3g}",
-                expo, expo > bound,
-            ))
-            return tuple(out)
-        ln5 = P / (n * ln_n**5)
-        if family.kind == URIG:
-            if prop.kind in (MIN_DEGREE, K_CONNECTED):
-                out.append(_cond("P/n", "pool at least proportional to n",
-                                 P / n, P / n >= 1.0))
-            else:
-                out.append(_cond("P/(n ln^5 n)", "pool above n (ln n)^5",
-                                 ln5, ln5 >= 1.0))
-        else:
-            if prop.kind == NEAR_PERFECT_MATCHING:
-                expo = math.log(P) / ln_n
-                out.append(_cond("log_n P", "pool growth exponent must exceed 1",
-                                 expo, expo > 1.0))
-            else:
-                out.append(_cond("P/(n ln^5 n)", "pool above n (ln n)^5",
-                                 ln5, ln5 >= 1.0))
-        return tuple(out)
-    if family.kind == URIG_ER:
-        P, K = params.P, params.K
-        out.append(_cond("P/n", "pool at least proportional to n", P / n, P / n >= 1.0))
-        out.append(_cond("K/P", "ring negligible against pool (o(1) proxy)",
-                         K / P, K / P <= 0.1))
-        return tuple(out)
-    if family.kind == URIG_RGG:
-        P, K = params.P, params.K
-        density = K * K / P
-        out.append(_cond("K/ln n", "ring grows past ln n", K / ln_n, K / ln_n >= 1.0))
-        out.append(_cond("(K^2/P) ln n", "ring density at most order 1/ln n",
-                         density * ln_n, density * ln_n <= 1.0))
-        out.append(_cond("(K^2/P)/(ln n/n)", "ring density past ln n/n",
-                         density / (ln_n / n), density / (ln_n / n) >= 1.0))
-        out.append(_cond("K n/P", "K below P/n (o(1/n) proxy)",
-                         K * n / P, K * n / P <= 0.1))
-        return tuple(out)
-    raise ParameterError(f"unknown family {family!r}")
-
-
-def coupling_report(
-    family: ModelFamily, params: FamilyParams, prop: PropertyKind
-) -> CouplingReport:
-    return CouplingReport(
-        family,
-        prop,
-        coupling_value(family, params),
-        deviation_from_params(family, params, prop),
-        side_conditions(family, params, prop),
-    )
+    return FAMILIES[family.kind].side_conditions(family, params, prop)
 
 
 # -- family -> sampleable model spec ------------------------------------------
 
 
+def _sampler_spec(spec_type: type, family: ModelFamily, params: FamilyParams) -> ModelSpec:
+    return spec_type(**{
+        f.name: getattr(family if f.name in ("s", "region") else params, f.name)
+        for f in fields(spec_type)
+    })
+
+
 def build_model_spec(family: ModelFamily, params: FamilyParams) -> ModelSpec:
-    n = params.n
-    if family.kind == URIG:
-        params.require("K", "P")
-        return UniformRigParams(n, params.K, params.P, family.s)
-    if family.kind == BRIG:
-        params.require("t", "P")
-        return BinomialRigParams(n, params.t, params.P, family.s)
-    if family.kind == ER:
-        params.require("q")
-        return ErParams(n, params.q)
-    if family.kind == URIG_ER:
-        params.require("K", "P", "q")
-        return IntersectionSpec((
-            UniformRigParams(n, params.K, params.P, family.s),
-            ErParams(n, params.q),
+    """The sampler spec of ``family`` at ``params``; a composition samples
+    its parts on one node set and intersects their edges."""
+    row = FAMILIES[family.kind]
+    params.require(*row.needs)
+    if isinstance(row.model, tuple):
+        return IntersectionSpec(tuple(
+            _sampler_spec(FAMILIES[part].model, family, params) for part in row.model
         ))
-    if family.kind == URIG_RGG:
-        params.require("K", "P", "r")
-        return IntersectionSpec((
-            UniformRigParams(n, params.K, params.P, 1),
-            RggParams(n, params.r, family.region),
-        ))
-    raise ParameterError(f"unknown family {family!r}")
+    return _sampler_spec(row.model, family, params)

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from riglab import cli
+from riglab import cli, scaling
 from riglab.errors import ConfigError
 from riglab.graphs import to_edge_list_text
 from riglab.models import (
@@ -52,10 +55,13 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, trials=2, model={**ER_MODEL, "p": 0.1}, property=KCONN)
         assert cli.main(["experiment", "-c", cfg]) == 2
 
-    def test_missing_model_parameter(self):
+    def test_missing_model_parameter(self, tmp_path):
         assert cli.main(["generate", "--model", "urig", "--n", "10", "--P", "50"]) == 2
         assert cli.main(["solve", "--family", "urig", "--property", "kconn",
                          "--n", "100", "--deviation", "0"]) == 2
+        for model in ({"family": "urig", "n": 30, "P": 50}, {"family": "er", "q": 0.5}):
+            cfg = _write_config(tmp_path, trials=2, model=model, property=KCONN)
+            assert cli.main(["experiment", "-c", cfg]) == 2
 
     def test_hamilton_past_enumeration_cap_needs_search_steps(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, trials=1, workers=1,
@@ -100,7 +106,71 @@ class TestSeedFallback:
         assert summaries[0]["seed"] == 41
 
 
-# One example per family the CLI can sample: flags, and the spec they denote.
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--family", "er", "--property", "kconn", "--alpha", "0"],
+        ["solve", "--family", "er", "--property", "kconn", "--n", "50", "--beta", "0"],
+        ["sweep", "--csv", "t.csv"],
+        ["sweep", "--timing"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_deviation_error_names_only_deviation(self, capsys):
+        assert cli.main(["predict", "--family", "er", "--property", "kconn"]) == 2
+        assert cli.main(["solve", "--family", "er", "--property", "kconn", "--n", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "--deviation" in err and "--alpha" not in err
+
+    def test_sweep_config_with_csv(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, model={"family": "er", "n": 30},
+                            property=KCONN, output={"csv": str(tmp_path / "t.csv")},
+                            sweep={"axis": "deviation", "values": [0]})
+        assert cli.main(["sweep", "-c", cfg]) == 2
+        assert "only the JSON summary" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestGeometricRegionDefault:
+    def test_solve_uses_torus_law(self, capsys):
+        base = ["solve", "--family", "urig_rgg", "--property", "kconn", "--n", "2000",
+                "--K", "10", "--P", "1000", "--deviation", "2", "--json"]
+        assert cli.main(base) == 0
+        bare = json.loads(capsys.readouterr().out)
+        assert cli.main([*base, "--region", "torus"]) == 0
+        assert json.loads(capsys.readouterr().out) == bare
+        assert bare["family"] == "urig_rgg[torus]"
+
+    def test_config_keeps_its_prediction(self, tmp_path):
+        cfg = _write_config(tmp_path, trials=2, workers=1, property=KCONN,
+                            model={"family": "urig_rgg", "n": 40, "K": 8, "P": 200, "r": 0.3})
+        out = tmp_path / "s.json"
+        assert cli.main(["experiment", "-c", cfg, "--summary", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["limit_form"] == "rgg_torus"
+        assert summary["model"]["parts"][1] == {"family": "rgg", "n": 40, "r": 0.3,
+                                                "region": "torus"}
+
+    def test_sweep_of_a_family_without_law(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, property=KCONN,
+                            model={"family": "rgg", "n": 30},
+                            sweep={"axis": "deviation", "values": [0, 1]})
+        assert cli.main(["sweep", "-c", cfg]) == 2
+        assert "no threshold scaling" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import riglab, sys; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
+
+
+# One example per family of the table: generate flags, and the spec they denote.
 GENERATE_CASES = {
     "er": (["--q", "0.3"], ErParams(12, 0.3)),
     "urig": (["--K", "4", "--P", "40", "--s", "2"], UniformRigParams(12, 4, 40, 2)),
@@ -115,6 +185,9 @@ GENERATE_CASES = {
 
 
 class TestGenerate:
+    def test_every_family_has_a_case(self):
+        assert set(GENERATE_CASES) == set(scaling.FAMILIES)
+
     @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
     def test_writes_the_sampled_graph(self, family, capsys):
         flags, spec = GENERATE_CASES[family]
@@ -122,5 +195,20 @@ class TestGenerate:
                          "--seed", "9", "--trial", "2"]) == 0
         expected = sample_model(spec, RngStream(9, 2))
         assert capsys.readouterr().out == to_edge_list_text(expected)
-        name = describe_model(spec)["family"]
-        assert name == ("intersection" if isinstance(spec, IntersectionSpec) else family)
+        args = cli.build_parser().parse_args(["generate", "--model", family, "--n", "12", *flags])
+        built = scaling.build_model_spec(
+            scaling.ModelFamily.named(family, args.s, args.region),
+            cli._family_params_from_args(args),
+        )
+        assert built == spec
+
+    @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
+    def test_describe_model_names_the_row(self, family):
+        spec = GENERATE_CASES[family][1]
+        row = scaling.FAMILIES[family]
+        described = describe_model(spec)
+        if isinstance(row.model, tuple):
+            assert described["family"] == "intersection"
+            assert tuple(p["family"] for p in described["parts"]) == row.model
+        else:
+            assert described["family"] == family

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riglab.errors import ParameterError
-from riglab.models import ErParams, IntersectionSpec, UniformRigParams
+from riglab.models import ErParams, IntersectionSpec, RggParams, UniformRigParams
 from riglab.properties import PropertyKind
 from riglab.scaling import (
+    FAMILIES,
+    LAW_FAMILIES,
     FamilyParams,
     ModelFamily,
     binomial_overlap_tail,
@@ -362,3 +365,107 @@ class TestBuildModelSpec:
         )
         assert isinstance(spec, IntersectionSpec)
         assert spec.parts == (UniformRigParams(5, 2, 9, 1), ErParams(5, 0.5))
+
+
+# Parameters at which each family's coupling is far below 1, so the
+# asymptotic inverse of the ER composition's K agrees with its exact tail.
+TABLE_PARAMS = {
+    "er": (ModelFamily.er(), FamilyParams(n=2000, q=0.004)),
+    "urig": (ModelFamily.uniform_rig(2), FamilyParams(n=2000, K=70, P=20_000)),
+    "brig": (ModelFamily.binomial_rig(1), FamilyParams(n=2000, t=0.001, P=20_000)),
+    "rgg": (ModelFamily.named("rgg"), FamilyParams(n=2000, r=0.05)),
+    "urig_er": (ModelFamily.uniform_rig_er(1), FamilyParams(n=2000, K=20, P=10**6, q=0.3)),
+    "urig_rgg": (ModelFamily.uniform_rig_rgg("square"),
+                 FamilyParams(n=2000, K=60, P=200_000, r=0.1)),
+}
+
+
+class TestFamilyTable:
+    def test_every_row_has_params(self):
+        assert set(TABLE_PARAMS) == set(FAMILIES)
+        assert LAW_FAMILIES == ("er", "urig", "brig", "urig_er", "urig_rgg")
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_needs_are_required(self, name):
+        family, params = TABLE_PARAMS[name]
+        for field in FAMILIES[name].needs:
+            with pytest.raises(ParameterError):
+                build_model_spec(family, replace(params, **{field: None}))
+            with pytest.raises(ParameterError):
+                exact_edge_probability(family, replace(params, **{field: None}))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_inverses_undo_the_coupling(self, name):
+        family, params = TABLE_PARAMS[name]
+        row = FAMILIES[name]
+        if row.coupling is None:
+            with pytest.raises(ParameterError):
+                coupling_value(family, params)
+            return
+        c = coupling_value(family, params)
+        for field, inverse in row.inverse.items():
+            tol = 1e-3 if name == "urig_er" and field == "K" else 1e-12
+            assert inverse(family, params, c) == pytest.approx(getattr(params, field), rel=tol)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_solve_round_trip(self, name):
+        family, params = TABLE_PARAMS[name]
+        prop = KCONN1
+        row = FAMILIES[name]
+        for field in row.inverse:
+            fixed = replace(params, **{field: None})
+            dev = deviation_from_params(family, params, prop)
+            res = solve_param(family, prop, params.n, dev, fixed)
+            assert res.param == field and not res.clamped
+            assert res.real_value == pytest.approx(getattr(params, field), rel=1e-3)
+        if not row.inverse:
+            with pytest.raises(ParameterError):
+                solve_param(family, prop, params.n, 0.0, params)
+
+    def test_rgg_samples_but_has_no_law(self):
+        family, params = TABLE_PARAMS["rgg"]
+        assert family.region == "torus"
+        assert build_model_spec(family, params) == RggParams(2000, 0.05, "torus")
+        assert exact_edge_probability(family, params) == pytest.approx(math.pi * 0.05**2)
+        with pytest.raises(ParameterError):
+            threshold_spec(family, KCONN1)
+
+    def test_named_ignores_what_a_family_lacks(self):
+        assert ModelFamily.named("er", 3, "square") == ModelFamily.er()
+        assert ModelFamily.named("urig_rgg", 2) == ModelFamily.uniform_rig_rgg("torus")
+        assert ModelFamily.named("urig_er", 2) == ModelFamily.uniform_rig_er(2)
+        with pytest.raises(ParameterError):
+            ModelFamily.named("gnp")
+
+
+class TestSolveBounds:
+    def test_K_past_pool(self):
+        with pytest.raises(ParameterError):
+            solve_param(ModelFamily.uniform_rig(1), KCONN1, 10, 100.0, FamilyParams(n=10, P=5))
+
+    def test_t_past_one(self):
+        with pytest.raises(ParameterError):
+            solve_param(ModelFamily.binomial_rig(1), KCONN1, 10, 40.0, FamilyParams(n=10, P=3))
+
+    def test_composition_needs_one_free(self):
+        fam = ModelFamily.uniform_rig_er(1)
+        for fixed in (FamilyParams(n=100, P=1000), FamilyParams(n=100, P=1000, K=5, q=0.5)):
+            with pytest.raises(ParameterError):
+                solve_param(fam, KCONN1, 100, 0.0, fixed)
+
+    def test_zero_target_coupling(self):
+        n = 2000
+        dev = -math.log(n)  # ln n + 0 * ln ln n + dev is exactly 0
+        er = solve_param(ModelFamily.er(), KCONN1, n, dev, FamilyParams(n=n))
+        assert (er.real_value, er.clamped) == (0.0, False)
+        urig = solve_param(ModelFamily.uniform_rig(1), KCONN1, n, dev, FamilyParams(n=n, P=1000))
+        assert (urig.real_value, urig.clamped) == (1.0, True)
+        rgg = solve_param(ModelFamily.uniform_rig_rgg("torus"), KCONN1, n, 0.0,
+                          FamilyParams(n=n, K=10, P=1000))
+        assert (rgg.real_value, rgg.clamped) == (0.0, True)
+
+    def test_integer_K_candidates(self):
+        res = solve_param(ModelFamily.uniform_rig_er(1), KCONN1, 2000, -30.0,
+                          FamilyParams(n=2000, P=1000, q=0.5))
+        assert res.clamped and res.real_value == 1.0
+        assert [type(c.value) for c in res.candidates] == [int]
