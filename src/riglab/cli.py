@@ -64,10 +64,57 @@ def _property_from(kind: str, k: int) -> PropertyKind:
 # -- config handling -----------------------------------------------------------
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
+def _numbers(values) -> list:
+    """A list of numbers, kept as written (sweep labels quote them)."""
+    if not isinstance(values, list):
+        raise TypeError("not a list")
+    for x in values:
+        float(x)
+    return values
+
+
+# Each config section's keys and the conversion its values go through
+# (None: kept as written); a key naming a section below holds an object.
+_CONFIG_KEYS = {
+    "$": {"schema": None, "label": None, "seed": int, "trials": int, "workers": int},
+    "$.property": {"kind": str, "k": int},
+    "$.model": {"family": str, "n": int, "K": int, "P": int, "s": int,
+                "t": float, "q": float, "r": float, "region": str},
+    "$.solve": {"deviation": float},
+    "$.budget": {"max_enumeration_nodes": int, "search_steps": int},
+    "$.output": {"csv": str, "summary": str, "timing": bool},
+    "$.sweep": {"axis": str, "values": _numbers},
+}
+_REQUIRED_KEYS = {"$.property": ("kind",), "$.model": ("n",)}
+
+
+def _checked_section(doc, path: str) -> dict:
+    """``doc`` with unknown keys rejected and every value converted."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be an object")
+    keys = _CONFIG_KEYS[path]
+    out = {}
+    for key, value in doc.items():
+        if f"{path}.{key}" in _CONFIG_KEYS:
+            out[key] = _checked_section(value, f"{path}.{key}")
+            continue
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} at {path}")
+        convert = keys[key]
+        if convert is None or value is None:
+            out[key] = value
+        else:
+            try:
+                out[key] = convert(value)
+            except (TypeError, ValueError) as exc:
+                what = "a list of numbers" if convert is _numbers else convert.__name__
+                raise ConfigError(
+                    f"key {key!r} at {path} must be {what}, got {value!r}"
+                ) from exc
+    for key in _REQUIRED_KEYS.get(path, ()):
+        if out.get(key) is None:
+            raise ConfigError(f"key {key!r} at {path} must be set")
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -76,46 +123,16 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(doc, {
-        "schema", "label", "seed", "trials", "workers", "property", "model",
-        "solve", "budget", "output", "sweep",
-    }, "$")
+    doc = _checked_section(doc, "$")
     if doc.get("schema") != montecarlo.SCHEMA:
         raise ConfigError(
             f"key 'schema' must be {montecarlo.SCHEMA!r}, got {doc.get('schema')!r}"
         )
-    if "property" in doc:
-        _check_keys(doc["property"], {"kind", "k"}, "$.property")
-    if "model" in doc:
-        _check_keys(doc["model"], {
-            "family", "n", "K", "P", "s", "t", "q", "r", "region",
-        }, "$.model")
-    if "solve" in doc:
-        _check_keys(doc["solve"], {"deviation", "free"}, "$.solve")
-    if "budget" in doc:
-        _check_keys(doc["budget"], {
-            "max_enumeration_nodes", "search_steps", "dp_state_limit",
-        }, "$.budget")
-    if "output" in doc:
-        _check_keys(doc["output"], {"csv", "summary", "timing"}, "$.output")
-    if "sweep" in doc:
-        _check_keys(doc["sweep"], {"axis", "values"}, "$.sweep")
     return doc
 
 
 def _family_params_from_dict(m: dict) -> scaling.FamilyParams:
-    if "n" not in m:
-        raise ConfigError("model needs 'n'")
-    return scaling.FamilyParams(
-        n=int(m["n"]),
-        K=None if m.get("K") is None else int(m["K"]),
-        P=None if m.get("P") is None else int(m["P"]),
-        t=None if m.get("t") is None else float(m["t"]),
-        q=None if m.get("q") is None else float(m["q"]),
-        r=None if m.get("r") is None else float(m["r"]),
-    )
+    return scaling.FamilyParams(**{k: m.get(k) for k in ("n", "K", "P", "t", "q", "r")})
 
 
 def _family_params_from_args(args) -> scaling.FamilyParams:
@@ -125,14 +142,17 @@ def _family_params_from_args(args) -> scaling.FamilyParams:
 
 
 def _budget_from(doc: dict | None, args) -> DecisionBudget:
-    kw = {}
-    if doc:
-        kw.update(doc)
+    kw = {k: v for k, v in (doc or {}).items() if v is not None}
     if getattr(args, "budget_nodes", None) is not None:
         kw["max_enumeration_nodes"] = args.budget_nodes
     if getattr(args, "search_steps", None) is not None:
         kw["search_steps"] = args.search_steps
     return DecisionBudget(**kw)
+
+
+def _first_set(*values):
+    """The first value that is not None (flag, then config, then default)."""
+    return next((v for v in values if v is not None), None)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -285,43 +305,42 @@ class _Experiment:
 def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
     doc = load_config(args.config) if args.config else {"schema": montecarlo.SCHEMA}
     label = args.label if args.label is not None else doc.get("label", "")
-    trials = args.trials if args.trials is not None else doc.get("trials")
+    trials = _first_set(args.trials, doc.get("trials"))
     if trials is None:
         raise ConfigError("trials must be set (flag --trials or config key)")
     seed = _default_seed(args.seed, doc.get("seed"))
-    workers = args.workers if args.workers is not None else doc.get("workers", os.cpu_count() or 1)
+    workers = _first_set(args.workers, doc.get("workers"), os.cpu_count() or 1)
     budget = _budget_from(doc.get("budget"), args)
     prop_doc = doc.get("property")
     if args.property is not None:
         prop = _property_from(args.property, args.k)
     elif prop_doc is not None:
-        prop = _property_from(prop_doc["kind"], int(prop_doc.get("k", 1)))
+        prop = _property_from(prop_doc["kind"], _first_set(prop_doc.get("k"), 1))
     else:
         raise ConfigError("property must be set (flag --property or config key)")
     model_doc = doc.get("model")
     if model_doc is None:
         raise ConfigError("config needs a 'model' section")
-    s = model_doc.get("s")
     family = scaling.ModelFamily.named(
-        model_doc.get("family"), 1 if s is None else int(s), model_doc.get("region")
+        model_doc.get("family"), _first_set(model_doc.get("s"), 1), model_doc.get("region")
     )
     params = _family_params_from_dict(model_doc)
-    solve_doc = doc.get("solve")
-    deviation = float(solve_doc["deviation"]) if solve_doc else None
+    deviation = doc.get("solve", {}).get("deviation")
     out = doc.get("output", {})
-    json_path = args.summary if args.summary is not None else out.get("summary")
+    json_path = _first_set(args.summary, out.get("summary"))
     common = dict(label=label, trials=trials, seed=seed, workers=workers, budget=budget,
                   prop=prop, family=family, params=params, json_path=json_path)
     if not need_sweep:
         return _Experiment(
             **common, deviation=deviation,
-            csv_path=args.csv if args.csv is not None else out.get("csv"),
+            csv_path=_first_set(args.csv, out.get("csv")),
             timing=bool(out.get("timing", False)) or args.timing,
         )
-    if out.get("csv") is not None:
-        raise ConfigError("sweeps write only the JSON summary; remove output.csv")
-    sweep_doc = doc.get("sweep") or {}
-    axis = args.axis if args.axis is not None else sweep_doc.get("axis")
+    for key in ("csv", "timing"):
+        if out.get(key) is not None:
+            raise ConfigError(f"sweeps write only the JSON summary; remove output.{key}")
+    sweep_doc = doc.get("sweep", {})
+    axis = _first_set(args.axis, sweep_doc.get("axis"))
     values = (
         [float(x) for x in args.values.split(",")]
         if args.values is not None
@@ -433,7 +452,8 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None,
                    help="enumeration cap for hamilton/robustness checkers")
     p.add_argument("--search-steps", type=int, default=None,
-                   help="step budget enabling the large-n hamilton search")
+                   help="step budget of the hamilton rotation-extension search "
+                        "(default 200000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,18 @@
 """Exact Hamilton cycle decisions.
 
-Small graphs (up to the enumeration cap) are decided by subset dynamic
-programming over (visited-set, endpoint) states, preceded by cheap
-shortcuts (Dirac bound, Bondy-Chvatal closure). Larger graphs go through
-a staged procedure that only ever returns certified answers:
+One pipeline decides every graph, cheapest stage first, and only ever
+returns certified answers:
 
-* certified False: fewer than 3 nodes, minimum degree < 2, disconnected,
-  an articulation point, or contradictory forced edges around degree-2
-  nodes (a node needing 3 cycle edges, or a forced subcycle),
-* certified True: rotation-extension search produces an explicit cycle,
-* otherwise ``BudgetExceeded`` - never a guess.
+1. certified False: not biconnected (fewer than 3 nodes, minimum degree
+   < 2, disconnected, or a cut vertex),
+2. certified True: the Dirac bound (minimum degree >= n/2),
+3. forced edges around degree-2 nodes: False when a node needs 3 cycle
+   edges or they close a subcycle, True when they form a spanning cycle,
+4. certified True: rotation-extension search, within ``search_steps``,
+   produces an explicit cycle,
+5. up to the enumeration cap, the Bondy-Chvatal closure and then subset
+   dynamic programming over (visited-set, endpoint) states decide exactly;
+   above it the pipeline raises ``BudgetExceeded`` - never a guess.
 
 Near the sharp thresholds where the experiments run, almost every
 non-Hamiltonian sample is caught by the local certificates and almost
@@ -22,6 +25,15 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .graphs import Graph, is_connected
+
+_DP_STATE_LIMIT = 1 << 21  # subset-DP states summed over all layers
+
+
+def is_biconnected(g: Graph) -> bool:
+    """At least 3 nodes, minimum degree >= 2, connected and no cut vertex."""
+    if g.n < 3 or g.min_degree() < 2 or not is_connected(g):
+        return False
+    return articulation_free(g.adjacency_lists(), g.n)
 
 
 def articulation_free(adj: list[list[int]], n: int) -> bool:
@@ -108,13 +120,6 @@ def _forced_edge_verdict(g: Graph) -> bool | None:
     return False
 
 
-# -- small-n exact ---------------------------------------------------------
-
-
-def _dirac(degmin: int, n: int) -> bool:
-    return 2 * degmin >= n
-
-
 def _closure_complete(g: Graph) -> bool:
     """Bondy-Chvatal closure: keep joining non-adjacent u,v with
     deg u + deg v >= n; the input has a Hamilton cycle iff the closure does,
@@ -140,7 +145,7 @@ def _closure_complete(g: Graph) -> bool:
     return all(d == n - 1 for d in deg)
 
 
-def _hamilton_dp(g: Graph, state_limit: int) -> bool:
+def _hamilton_dp(g: Graph) -> bool:
     """Layered subset DP on paths anchored at node 0; exact."""
     n = g.n
     masks = g.adjacency_masks()
@@ -162,33 +167,14 @@ def _hamilton_dp(g: Graph, state_limit: int) -> bool:
                     nm = mask | ub
                     nxt[nm] = nxt.get(nm, 0) | ub
         total_states += len(nxt)
-        if total_states > state_limit:
+        if total_states > _DP_STATE_LIMIT:
             raise BudgetExceeded(
-                f"hamilton DP exceeded {state_limit} states at n={n}"
+                f"hamilton DP exceeded {_DP_STATE_LIMIT} states at n={n}"
             )
         if not nxt:
             return False
         frontier = nxt
     return bool(frontier.get(full, 0) & masks[0])
-
-
-def _decide_small(g: Graph, state_limit: int) -> bool:
-    degs = g.degrees()
-    if int(degs.min()) < 2:
-        return False
-    if not is_connected(g):
-        return False
-    if _dirac(int(degs.min()), g.n):
-        return True
-    verdict = _forced_edge_verdict(g)
-    if verdict is not None:
-        return verdict
-    if _closure_complete(g):
-        return True
-    return _hamilton_dp(g, state_limit)
-
-
-# -- large-n staged decision ------------------------------------------------
 
 
 def _rotation_extension(adj: list[list[int]], n: int, budget: list[int]) -> bool:
@@ -332,37 +318,23 @@ def _adopt(path, pos, new_prefix, length, n) -> None:
     pos[path[:length]] = np.arange(length)
 
 
-def decide_hamilton(
-    g: Graph,
-    max_enumeration_nodes: int,
-    search_steps: int | None,
-    dp_state_limit: int,
-) -> bool:
+def decide_hamilton(g: Graph, max_enumeration_nodes: int, search_steps: int) -> bool:
     n = g.n
-    if n < 3:
+    if not is_biconnected(g):
         return False
-    if n <= max_enumeration_nodes:
-        return _decide_small(g, dp_state_limit)
-    if search_steps is None:
-        raise BudgetExceeded(
-            f"hamilton decision at n={n} exceeds the enumeration cap "
-            f"{max_enumeration_nodes}; configure search_steps to enable the "
-            "certificate-plus-search procedure"
-        )
-    degs = g.degrees()
-    if int(degs.min()) < 2:
-        return False
-    if not is_connected(g):
-        return False
-    adj = g.adjacency_lists()
-    if not articulation_free(adj, n):
-        return False
+    if 2 * g.min_degree() >= n:
+        return True  # Dirac
     verdict = _forced_edge_verdict(g)
     if verdict is not None:
         return verdict
     budget = [search_steps]
-    if _rotation_extension(adj, n, budget):
+    if _rotation_extension(g.adjacency_lists(), n, budget):
         return True
-    raise BudgetExceeded(
-        f"hamilton search inconclusive at n={n} after {search_steps} steps"
-    )
+    if n > max_enumeration_nodes:
+        spent = search_steps - max(budget[0], 0)
+        raise BudgetExceeded(
+            f"hamilton search inconclusive at n={n} after {spent} of "
+            f"{search_steps} steps, above the subset DP cap of "
+            f"{max_enumeration_nodes} nodes"
+        )
+    return _closure_complete(g) or _hamilton_dp(g)

@@ -155,7 +155,11 @@ def _run_one_trial(
     g = sample_model(model, stream)
     outcome = evaluate_property(g, prop, budget)
     mind = g.min_degree()
-    conn = is_connected(g)
+    # These decisions settle connectivity; the others need their own search.
+    settled = (prop.kind == K_CONNECTED and (outcome or prop.k == 1)) or (
+        prop.kind == HAMILTON_CYCLE and outcome
+    )
+    conn = outcome if settled else is_connected(g)
     violations: list[str] = []
     if outcome:
         if prop.kind == K_CONNECTED and mind < prop.k:
@@ -320,6 +324,9 @@ def sweep(
 ) -> list[SweepPoint]:
     """One experiment per axis point (deviation | n | k), errors recorded.
 
+    A family/property pair without a threshold law raises ParameterError
+    before any point runs.
+
     Point i runs with base seed ``mix64(seed, i)`` so points are
     independent while the whole sweep stays reproducible from one seed.
     """
@@ -327,6 +334,8 @@ def sweep(
         raise ParameterError("axis must be one of deviation | n | k")
     if family.kind not in scaling.LAW_FAMILIES:
         raise ParameterError(f"{family.label()} has no threshold scaling to sweep")
+    # On the k axis only some k may lack a law; those points record errors.
+    scaling.threshold_spec(family, PropertyKind(prop.kind) if axis == "k" else prop)
     points: list[SweepPoint] = []
     for i, value in enumerate(values):
         dev, nn, pp = deviation, n, prop

@@ -80,34 +80,26 @@ class PropertyKind:
 class DecisionBudget:
     """Limits for the exponential checkers.
 
-    ``max_enumeration_nodes`` caps subset enumeration (Hamilton DP,
-    robustness). ``search_steps``, when set, enables the staged
-    certificate-plus-search Hamilton decision above the cap.
+    ``max_enumeration_nodes`` (default 24) caps subset enumeration
+    (Hamilton DP, robustness). ``search_steps`` (default 200_000) bounds
+    the rotation-extension search the Hamilton decision runs before it
+    falls back to the subset DP.
     """
 
     max_enumeration_nodes: int = 24
-    search_steps: int | None = None
-    dp_state_limit: int = 1 << 21
+    search_steps: int = 200_000
 
     def __post_init__(self):
         if self.max_enumeration_nodes < 1:
             raise ParameterError("max_enumeration_nodes must be positive")
-        if self.search_steps is not None and self.search_steps < 1:
-            raise ParameterError("search_steps must be positive when set")
+        if self.search_steps < 1:
+            raise ParameterError("search_steps must be positive")
 
 
 DEFAULT_BUDGET = DecisionBudget()
 
 
 # -- k-connectivity ----------------------------------------------------------
-
-
-def _biconnected(g: Graph) -> bool:
-    if g.n < 3:
-        return False
-    if g.min_degree() < 2 or not is_connected(g):
-        return False
-    return _hamilton.articulation_free(g.adjacency_lists(), g.n)
 
 
 def _split_flow_at_least(adj: list[list[int]], n: int, s: int, t: int, k: int) -> bool:
@@ -181,7 +173,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.min_degree() < k:
         return False
     if k == 2:
-        return _biconnected(g)
+        return _hamilton.is_biconnected(g)
     if not is_connected(g):
         return False
     # Esfahanian-Hakimi: with v of minimum degree it suffices to check
@@ -216,9 +208,7 @@ def has_near_perfect_matching(g: Graph) -> bool:
 
 
 def has_hamilton_cycle(g: Graph, budget: DecisionBudget = DEFAULT_BUDGET) -> bool:
-    return _hamilton.decide_hamilton(
-        g, budget.max_enumeration_nodes, budget.search_steps, budget.dp_state_limit
-    )
+    return _hamilton.decide_hamilton(g, budget.max_enumeration_nodes, budget.search_steps)
 
 
 # -- k-robustness ------------------------------------------------------------

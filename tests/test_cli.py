@@ -63,12 +63,37 @@ class TestExitCodes:
             cfg = _write_config(tmp_path, trials=2, model=model, property=KCONN)
             assert cli.main(["experiment", "-c", cfg]) == 2
 
-    def test_hamilton_past_enumeration_cap_needs_search_steps(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, trials=1, workers=1,
+    def test_hamilton_search_inconclusive_past_enumeration_cap(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=1, workers=1, seed=0,
                             model={"family": "er", "n": 30, "q": 0.5},
                             property={"kind": "hamilton"})
-        assert cli.main(["experiment", "-c", cfg]) == 3
-        assert "search_steps" in capsys.readouterr().err
+        assert cli.main(["experiment", "-c", cfg, "--search-steps", "1"]) == 3
+        assert "inconclusive" in capsys.readouterr().err
+        assert cli.main(["experiment", "-c", cfg]) == 0
+
+    @pytest.mark.parametrize("named, change", [
+        ("key 'q' at $.model", {"model": {**ER_MODEL, "q": "abc"}}),
+        ("key 'trials' at $", {"trials": "x"}),
+        ("key 'kind' at $.property", {"property": {"k": 1}}),
+        ("$.model must be an object", {"model": [30]}),
+        ("key 'search_steps' at $.budget", {"budget": {"search_steps": [1]}}),
+        ("key 'values' at $.sweep", {"sweep": {"axis": "deviation", "values": "0,1"}}),
+    ], ids=["q", "trials", "kind", "model", "search_steps", "values"])
+    def test_malformed_config_value(self, tmp_path, capsys, named, change):
+        doc = {"trials": 2, "workers": 1, "model": ER_MODEL, "property": KCONN, **change}
+        cfg = _write_config(tmp_path, **doc)
+        assert cli.main(["experiment", "-c", cfg]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_sweep_of_a_pair_without_law(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        cfg = _write_config(tmp_path, trials=2, workers=1, property={"kind": "hamilton"},
+                            model={"family": "urig_er", "n": 30, "K": 8, "P": 200},
+                            sweep={"axis": "deviation", "values": [0, 1]},
+                            output={"summary": str(out)})
+        assert cli.main(["sweep", "-c", cfg]) == 2
+        assert "no hamilton_cycle law for urig_er" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["experiment", "-c", str(tmp_path / "absent.json")]) == 4
@@ -132,6 +157,23 @@ class TestRemovedOptions:
         assert cli.main(["sweep", "-c", cfg]) == 2
         assert "only the JSON summary" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_sweep_config_with_timing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, model={"family": "er", "n": 30},
+                            property=KCONN, output={"timing": True},
+                            sweep={"axis": "deviation", "values": [0]})
+        assert cli.main(["sweep", "-c", cfg]) == 2
+        assert "output.timing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("solve", {"deviation": 0, "free": "q"}, "free"),
+        ("budget", {"dp_state_limit": 1 << 21}, "dp_state_limit"),
+    ], ids=["solve.free", "budget.dp_state_limit"])
+    def test_config_key_rejected(self, tmp_path, capsys, section, value, key):
+        cfg = _write_config(tmp_path, trials=2, model={"family": "er", "n": 30},
+                            property=KCONN, **{section: value})
+        assert cli.main(["experiment", "-c", cfg]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestGeometricRegionDefault:

@@ -1,0 +1,29 @@
+import pytest
+
+from riglab import scaling
+from riglab.graphs import is_connected
+from riglab.models import ErParams, sample_model
+from riglab.montecarlo import ExperimentConfig, run_experiment, sweep
+from riglab.properties import PropertyKind
+from riglab.rng import RngStream
+
+
+@pytest.mark.parametrize("prop", [
+    PropertyKind.k_connected(1), PropertyKind.k_connected(2), PropertyKind.k_connected(3),
+    PropertyKind.hamilton_cycle(), PropertyKind.near_perfect_matching(),
+    PropertyKind.min_degree_at_least(1), PropertyKind.k_robust(1),
+], ids=PropertyKind.label)
+def test_connected_column_is_connectivity(prop):
+    # densities below, at and above the connectivity threshold of G(14, q)
+    for q in (0.15, 0.25, 0.4):
+        cfg = ExperimentConfig(model=ErParams(14, q), prop=prop, trials=12, seed=8)
+        for r in run_experiment(cfg).records:
+            assert r.connected == is_connected(sample_model(cfg.model, RngStream(cfg.seed, r.trial)))
+
+
+def test_k_axis_keeps_per_point_errors():
+    family = scaling.ModelFamily.named("urig_rgg")
+    points = sweep(family, PropertyKind.k_connected(1), 30,
+                   scaling.FamilyParams(n=30, K=8, P=200), "k", [1, 2], 2, 1)
+    assert points[0].summary is not None
+    assert points[1].summary is None and "no k_connected(k=2) law" in points[1].error

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riglab.errors import BudgetExceeded, ParameterError
 from riglab.graphs import Graph
+from riglab.models import ErParams, sample_er
 from riglab.oracles import (
     oracle_hamilton,
     oracle_k_connected,
@@ -21,6 +24,7 @@ from riglab.properties import (
     k_robust_witness,
     max_matching_size,
 )
+from riglab.rng import RngStream
 
 from conftest import random_small_graphs
 
@@ -116,10 +120,13 @@ class TestHamilton:
         assert not has_hamilton_cycle(Graph.complete(2))
         assert has_hamilton_cycle(Graph.complete(3))
 
-    def test_budget_error_without_search_steps(self):
-        g = Graph.cycle(30)
-        with pytest.raises(BudgetExceeded):
-            has_hamilton_cycle(g, DecisionBudget(max_enumeration_nodes=24))
+    def test_budget_error_past_enumeration_cap(self):
+        # 4-regular circulant C_30(1, 2): biconnected, below Dirac, no
+        # degree-2 node, so only the search or the DP can settle it
+        g = Graph.from_edges(30, [(v, (v + d) % 30) for v in range(30) for d in (1, 2)])
+        with pytest.raises(BudgetExceeded, match="inconclusive"):
+            has_hamilton_cycle(g, DecisionBudget(search_steps=1))
+        assert has_hamilton_cycle(g)
 
     def test_large_path_with_search_steps(self):
         g = Graph.cycle(200)
@@ -139,16 +146,15 @@ class TestHamilton:
             assert has_hamilton_cycle(g) == oracle_hamilton(g)
 
     def test_staged_agrees_with_dp(self):
-        # route mid-size graphs through the certificates+search procedure
-        # and compare against the exact subset DP
-        from riglab.models import ErParams, sample_er
-        from riglab.rng import RngStream
+        # keep mid-size graphs away from the subset DP (cap 3), so only
+        # certificates and search decide, and compare with the DP itself
+        from riglab.hamilton import _hamilton_dp
 
         checked = 0
         for i in range(80):
             n = 13 + i % 4
             g = sample_er(ErParams(n, [2.2 / n, 3.2 / n, 0.4][i % 3]), RngStream(404, i))
-            exact = has_hamilton_cycle(g, DecisionBudget(max_enumeration_nodes=24))
+            exact = _hamilton_dp(g)
             try:
                 staged = has_hamilton_cycle(
                     g, DecisionBudget(max_enumeration_nodes=3, search_steps=20_000)
@@ -158,6 +164,50 @@ class TestHamilton:
             assert staged == exact
             checked += 1
         assert checked >= 60  # the search should rarely be inconclusive
+
+    def test_default_budget_decides_near_threshold(self):
+        # ER at n=24, deviation +4: a subset DP run first exceeds its state
+        # limit on most of these graphs; certificates and search settle them
+        from riglab import FamilyParams, ModelFamily, run_experiment, threshold_experiment
+
+        cfg = threshold_experiment(ModelFamily.er(), PropertyKind.hamilton_cycle(), 24, 4.0,
+                                   FamilyParams(n=24), 20, 11)
+        records = run_experiment(cfg).records
+        assert sum(r.outcome for r in records) >= 15
+
+
+class TestNetworkxCrossCheck:
+    """Moderate-n graphs, beyond the brute-force oracles, against networkx."""
+
+    @staticmethod
+    def _to_networkx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        adj = g.adjacency_lists()
+        h.add_edges_from((u, v) for u in range(g.n) for v in adj[u] if u < v)
+        return h
+
+    def test_three_connectivity(self):
+        nx = pytest.importorskip("networkx")
+        verdicts = set()
+        for i in range(12):
+            n = 50 + 10 * (i % 4)
+            # deviations -1, +1, +3 around the 3-connectivity threshold
+            q = (math.log(n) + 2 * math.log(math.log(n)) + (-1, 1, 3)[i % 3]) / n
+            g = sample_er(ErParams(n, q), RngStream(606, i))
+            got = is_k_connected(g, 3)
+            assert got == (nx.node_connectivity(self._to_networkx(nx, g)) >= 3), (n, i)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_max_matching(self):
+        nx = pytest.importorskip("networkx")
+        for i in range(12):
+            n = (51, 100, 150, 200)[i % 4]
+            g = sample_er(ErParams(n, (1.0, 1.5, 3.0)[i % 3] * math.log(n) / n),
+                          RngStream(707, i))
+            h = self._to_networkx(nx, g)
+            assert max_matching_size(g) == len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 class TestKRobust:
