@@ -341,11 +341,14 @@ def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
             raise ConfigError(f"sweeps write only the JSON summary; remove output.{key}")
     sweep_doc = doc.get("sweep", {})
     axis = _first_set(args.axis, sweep_doc.get("axis"))
-    values = (
-        [float(x) for x in args.values.split(",")]
-        if args.values is not None
-        else sweep_doc.get("values")
-    )
+    values = sweep_doc.get("values")
+    if args.values is not None:
+        try:
+            values = [float(x) for x in args.values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(
+                f"--values must be comma-separated numbers, got {args.values!r}"
+            ) from exc
     if axis is None or values is None:
         raise ConfigError("sweep needs axis and values (flags or config)")
     return _Experiment(**common, deviation=deviation or 0.0, axis=axis, values=values)

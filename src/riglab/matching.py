@@ -137,13 +137,16 @@ def _find_augmenting_path(adj, match, p, base, root, n) -> int:
     """BFS an alternating tree from ``root``, contracting blossoms.
 
     Returns the free endpoint of an augmenting path, or -1. This is the
-    complete (exact) search.
+    complete (exact) search. ``members`` lists the nodes of each base
+    that heads a contracted blossom, so a contraction relabels only the
+    nodes of the blossoms it merges.
     """
     for i in range(n):
         p[i] = -1
         base[i] = i
     used = [False] * n
     used[root] = True
+    members: dict[int, list[int]] = {}
     q = deque([root])
     while q:
         v = q.popleft()
@@ -153,15 +156,22 @@ def _find_augmenting_path(adj, match, p, base, root, n) -> int:
             if to == root or (match[to] != -1 and p[match[to]] != -1):
                 # Odd cycle through the root: contract the blossom.
                 cur = _lca(match, base, p, v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 _mark_path(match, base, p, blossom, v, cur, to)
                 _mark_path(match, base, p, blossom, to, cur, v)
-                for i in range(n):
-                    if blossom[base[i]]:
+                # cur's own nodes already have base cur and are queued.
+                blossom.discard(cur)
+                group = members.setdefault(cur, [cur])
+                entering = []
+                for b in blossom:
+                    for i in members.pop(b, (b,)):
                         base[i] = cur
+                        group.append(i)
                         if not used[i]:
                             used[i] = True
-                            q.append(i)
+                            entering.append(i)
+                entering.sort()  # the order a scan over all nodes queues them in
+                q.extend(entering)
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -187,8 +197,8 @@ def _lca(match, base, p, a, b) -> int:
 
 def _mark_path(match, base, p, blossom, v, b, child) -> None:
     while base[v] != b:
-        blossom[base[v]] = True
-        blossom[base[match[v]]] = True
+        blossom.add(base[v])
+        blossom.add(base[match[v]])
         p[v] = child
         child = match[v]
         v = p[match[v]]

@@ -153,7 +153,10 @@ def _run_one_trial(
     t0 = time.perf_counter()
     stream = RngStream(seed, index)
     g = sample_model(model, stream)
-    outcome = evaluate_property(g, prop, budget)
+    try:
+        outcome = evaluate_property(g, prop, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"trial {index} (stream seed {stream.key()}): {exc}") from exc
     mind = g.min_degree()
     # These decisions settle connectivity; the others need their own search.
     settled = (prop.kind == K_CONNECTED and (outcome or prop.k == 1)) or (
@@ -199,7 +202,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials and summarize; deterministic for fixed (cfg, seed).
 
     ``workers`` only distributes work: records and summary are identical
-    for every worker count. Budget errors abort the whole experiment.
+    for every worker count. Budget errors abort the whole experiment; the
+    error names the trial index and stream seed of the trial that raised it.
     """
     t0 = time.perf_counter()
     indices = list(range(cfg.trials))

@@ -11,13 +11,13 @@
   has at least k neighbors inside T.
 
 k-connectivity uses dedicated linear-time procedures for k=1 (search) and
-k=2 (cut vertices) and a unit-capacity max-flow decision for k >= 3; the
-exponential checkers (Hamilton, robustness) honor a :class:`DecisionBudget`.
+k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
+all run on one split digraph built once per decision; the exponential
+checkers (Hamilton, robustness) honor a :class:`DecisionBudget`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import hamilton as _hamilton
@@ -102,65 +102,101 @@ DEFAULT_BUDGET = DecisionBudget()
 # -- k-connectivity ----------------------------------------------------------
 
 
-def _split_flow_at_least(adj: list[list[int]], n: int, s: int, t: int, k: int) -> bool:
-    """Menger decision: >= k internally node-disjoint s-t paths.
+class _SplitDigraph:
+    """Unit-capacity split digraph of a graph, built once per decision.
 
-    Unit-capacity max-flow on the split digraph (v_in -> v_out per node),
-    augmenting BFS stopped as soon as k paths are found.
+    Node v becomes v_in = 2v and v_out = 2v+1 joined by an arc of
+    capacity 1; each edge uv becomes the arcs u_out -> v_in and
+    v_out -> u_in. Arc i's reverse is arc i ^ 1. Every internal arc is
+    kept, those of a query's endpoints included: with the source at s_out
+    and the sink at t_in, s_in -> s_out ends at the source and
+    t_in -> t_out starts at the sink, so no augmenting path uses either
+    and one arc store serves every pair.
     """
-    # Arc store: to[], cap[], paired reverse arc at index ^1, head lists.
-    to: list[int] = []
-    cap: list[int] = []
-    head: list[list[int]] = [[] for _ in range(2 * n)]
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        head[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        head[b].append(len(to))
-        to.append(a)
-        cap.append(0)
+    def __init__(self, adj: list[list[int]], n: int):
+        to: list[int] = []
+        cap: list[int] = []
+        head: list[list[int]] = [[] for _ in range(2 * n)]
 
-    for v in range(n):
-        if v != s and v != t:
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u in range(n):
-        for v in adj[u]:
-            if u < v:
-                add_arc(2 * u + 1, 2 * v, 1)
-                add_arc(2 * v + 1, 2 * u, 1)
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    prev_arc = [-1] * (2 * n)
-    while flow < k:
-        for i in range(2 * n):
-            prev_arc[i] = -1
-        prev_arc[source] = -2
-        q = deque([source])
-        reached = False
-        while q and not reached:
-            x = q.popleft()
-            for aid in head[x]:
-                if cap[aid] > 0 and prev_arc[to[aid]] == -1:
-                    prev_arc[to[aid]] = aid
-                    if to[aid] == sink:
-                        reached = True
-                        break
-                    q.append(to[aid])
-        if not reached:
-            return False
-        x = sink
-        while x != source:
-            aid = prev_arc[x]
-            cap[aid] -= 1
-            cap[aid ^ 1] += 1
-            x = to[aid ^ 1]
-        flow += 1
-    return True
+        def add_arc(a: int, b: int) -> None:
+            head[a].append(len(to))
+            to.append(b)
+            cap.append(1)
+            head[b].append(len(to))
+            to.append(a)
+            cap.append(0)
+
+        for v in range(n):
+            add_arc(2 * v, 2 * v + 1)
+        for u in range(n):
+            for v in adj[u]:
+                if u < v:
+                    add_arc(2 * u + 1, 2 * v)
+                    add_arc(2 * v + 1, 2 * u)
+        self._to = to
+        self._cap = cap
+        self._head = head
+        # BFS marks: node x is reached in the current search iff
+        # seen[x] == epoch, so no per-search reset is needed.
+        self._seen = [0] * (2 * n)
+        self._prev = [0] * (2 * n)
+        self._epoch = 0
+
+    def flow_at_least(self, s: int, t: int, k: int) -> bool:
+        """Menger decision: >= k internally node-disjoint s-t paths.
+
+        Augmenting BFS stopped as soon as k paths are found; every arc the
+        flow augmented is then restored, leaving the digraph at zero flow
+        for the next pair.
+        """
+        to, cap, head = self._to, self._cap, self._head
+        seen, prev = self._seen, self._prev
+        epoch = self._epoch
+        source, sink = 2 * s + 1, 2 * t
+        pushed: list[int] = []
+        flow = 0
+        while flow < k:
+            epoch += 1
+            seen[source] = epoch
+            queue = [source]
+            reached = False
+            for x in queue:  # the list grows while it is walked
+                for aid in head[x]:
+                    if cap[aid]:
+                        y = to[aid]
+                        if seen[y] != epoch:
+                            seen[y] = epoch
+                            prev[y] = aid
+                            if y == sink:
+                                reached = True
+                                break
+                            queue.append(y)
+                if reached:
+                    break
+            if not reached:
+                break
+            x = sink
+            while x != source:
+                aid = prev[x]
+                cap[aid] -= 1
+                cap[aid ^ 1] += 1
+                pushed.append(aid)
+                x = to[aid ^ 1]
+            flow += 1
+        self._epoch = epoch
+        for aid in pushed:
+            cap[aid] += 1
+            cap[aid ^ 1] -= 1
+        return flow >= k
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """Vertex connectivity at least k (kappa(K_n) = n-1 by convention)."""
+    """Vertex connectivity at least k (kappa(K_n) = n-1 by convention).
+
+    For k >= 3 one split digraph is built per decision and every Menger
+    flow of the Esfahanian-Hakimi pair set runs on it.
+    """
     if k < 1:
         raise ParameterError("k must be >= 1")
     n = g.n
@@ -180,18 +216,19 @@ def is_k_connected(g: Graph, k: int) -> bool:
     # local connectivity from v to its non-neighbors and between
     # non-adjacent pairs of its neighbors.
     adj = g.adjacency_lists()
+    net = _SplitDigraph(adj, n)
     degs = g.degrees()
     v = int(degs.argmin())
     vset = set(adj[v])
     for w in range(n):
         if w != v and w not in vset:
-            if not _split_flow_at_least(adj, n, v, w, k):
+            if not net.flow_at_least(v, w, k):
                 return False
     nbrs = adj[v]
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
             if not g.has_edge(x, y):
-                if not _split_flow_at_least(adj, n, x, y, k):
+                if not net.flow_at_least(x, y, k):
                     return False
     return True
 

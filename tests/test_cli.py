@@ -68,7 +68,9 @@ class TestExitCodes:
                             model={"family": "er", "n": 30, "q": 0.5},
                             property={"kind": "hamilton"})
         assert cli.main(["experiment", "-c", cfg, "--search-steps", "1"]) == 3
-        assert "inconclusive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "inconclusive" in err
+        assert f"trial 0 (stream seed {RngStream(0, 0).key()})" in err
         assert cli.main(["experiment", "-c", cfg]) == 0
 
     @pytest.mark.parametrize("named, change", [
@@ -84,6 +86,11 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, **doc)
         assert cli.main(["experiment", "-c", cfg]) == 2
         assert named in capsys.readouterr().err
+
+    def test_non_numeric_sweep_values_flag(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN)
+        assert cli.main(["sweep", "-c", cfg, "--axis", "deviation", "--values", "a,b"]) == 2
+        assert "--values" in capsys.readouterr().err
 
     def test_sweep_of_a_pair_without_law(self, tmp_path, capsys):
         out = tmp_path / "s.json"

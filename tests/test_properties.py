@@ -65,8 +65,34 @@ class TestKConnected:
 
     def test_agrees_with_oracle(self):
         for g in random_small_graphs(150, seed=101):
-            for k in (1, 2, 3):
+            for k in (1, 2, 3, 4):
                 assert is_k_connected(g, k) == oracle_k_connected(g, k), (g, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_planted_cut(self, k):
+        # Two dense blocks that meet only through a separator of k-1 nodes:
+        # every node has degree >= k, so the Menger flows must find the cut.
+        for i, n in enumerate((60, 120, 200)):
+            rng = RngStream(909, 10 * k + i).generator()
+            sep = list(range(k - 1))
+            half = (n - len(sep)) // 2
+            blocks = (range(k - 1, k - 1 + half), range(k - 1 + half, n))
+            edges = set()
+            for block in blocks:
+                side = sep + list(block)
+                for a, u in enumerate(side):
+                    for v in side[a + 1:]:
+                        if rng.random() < 0.2:
+                            edges.add((u, v))
+                for u, v in zip(block, list(block[1:]) + [block[0]]):
+                    edges.add((min(u, v), max(u, v)))  # a Hamilton cycle per block
+                for u in sep:
+                    for v in block[:k]:
+                        edges.add((u, v))
+            g = Graph.from_edges(n, sorted(edges))
+            assert g.min_degree() >= k, (k, n)
+            assert not is_k_connected(g, k), (k, n)
+            assert is_k_connected(g, k - 1), (k, n)
 
 
 class TestMatching:
@@ -199,6 +225,21 @@ class TestNetworkxCrossCheck:
             assert got == (nx.node_connectivity(self._to_networkx(nx, g)) >= 3), (n, i)
             verdicts.add(got)
         assert verdicts == {True, False}
+
+    def test_exact_connectivity(self):
+        # The largest k <= 6 that is_k_connected accepts is kappa itself, so
+        # every pair flow of a decision is checked against a fresh one.
+        nx = pytest.importorskip("networkx")
+        seen = set()
+        for i in range(12):
+            n = (40, 60, 80)[i % 3]
+            q = (math.log(n) + 2 * math.log(math.log(n)) + (0, 3, 6, 10)[i % 4]) / n
+            g = sample_er(ErParams(n, q), RngStream(808, i))
+            got = max((k for k in range(1, 7) if is_k_connected(g, k)), default=0)
+            kappa = min(nx.node_connectivity(self._to_networkx(nx, g)), 6)
+            assert got == kappa, (n, i)
+            seen.add(got)
+        assert len(seen) >= 3
 
     def test_max_matching(self):
         nx = pytest.importorskip("networkx")
