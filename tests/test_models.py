@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,3 +241,50 @@ class TestSampleModel:
         # frozen fingerprint guards accidental changes to stream derivation
         g = sample_er(ErParams(30, 0.3), RngStream(12345, 6))
         assert g.m == 142
+
+
+def _rings(a):
+    """Node rings of an assignment as lists, for literal comparison."""
+    return [list(r) for r in a.rings]
+
+
+def _sha(keys):
+    return hashlib.sha256(np.asarray(keys, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+class TestStreamFingerprints:
+    """Frozen samples: a refactor of the samplers or of the CSR layout must
+    leave every draw and every edge exactly where it was."""
+
+    def test_uniform_assignment(self):
+        p = UniformRigParams(5, 3, 20)
+        assert _rings(sample_uniform_assignment(p, RngStream(3))) == [
+            [0, 8, 9], [7, 12, 14], [0, 8, 11], [0, 3, 6], [2, 4, 13]]
+        assert _rings(sample_uniform_assignment(p, RngStream(4))) == [
+            [2, 11, 18], [6, 7, 18], [0, 2, 17], [3, 14, 17], [2, 11, 16]]
+        a = sample_uniform_assignment(UniformRigParams(400, 30, 5000), RngStream(5))
+        assert _sha([x for r in _rings(a) for x in r]) == "4414bb2f13a35ea7"
+
+    def test_binomial_assignment(self):
+        p = BinomialRigParams(5, 0.3, 12)
+        assert _rings(sample_binomial_assignment(p, RngStream(3))) == [
+            [4], [0, 1, 2, 8], [4, 6, 7], [1, 2, 4, 9], [7, 8]]
+        assert _rings(sample_binomial_assignment(p, RngStream(4))) == [
+            [1, 6, 7, 9], [0, 1, 8], [0, 5, 11], [1, 2], [1, 2, 3, 5, 8, 9, 10]]
+
+    def test_composed_edge_keys(self):
+        spec = IntersectionSpec((UniformRigParams(12, 4, 10, s=2), ErParams(12, 0.5)))
+        assert sample_model(spec, RngStream(7, 2)).edge_keys().tolist() == [
+            1, 2, 4, 5, 7, 10, 11, 14, 16, 19, 27, 33, 41, 42, 45, 46, 55, 58,
+            59, 67, 81, 82, 94, 119]
+
+    def test_graph_neighbor_rows(self):
+        g = sample_er(ErParams(8, 0.4), RngStream(9))
+        assert [g.neighbors(u).tolist() for u in range(g.n)] == [
+            [1, 2, 5, 7], [0, 3, 7], [0, 3, 5], [1, 2, 4, 7], [3, 6, 7], [0, 2],
+            [4, 7], [0, 1, 3, 4, 6]]
+        big = sample_er(ErParams(3000, 0.002), RngStream(9, 1))
+        assert big.m == 8938
+        assert _sha(big.edge_keys()) == "b0e43d886c964575"
+        rows = np.concatenate([big.neighbors(u) for u in range(big.n)])
+        assert _sha(rows) == "39c1eba3095bd6f1"
