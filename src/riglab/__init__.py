@@ -8,7 +8,6 @@ from .graphs import (
     connected_components,
     intersect_graphs,
     is_connected,
-    min_degree,
     read_edge_list,
     write_edge_list,
 )

@@ -3,8 +3,7 @@
 The :class:`Graph` is the one object every sampler produces and every
 property checker consumes: nodes are ``0..n-1``, edges are an immutable
 deduplicated set of unordered pairs with no self-loops. Adjacency is kept
-in CSR-style sorted arrays for iteration plus a lazily built key set for
-O(1) membership tests.
+in CSR-style sorted arrays; membership tests binary-search a node's row.
 """
 
 from __future__ import annotations
@@ -41,14 +40,12 @@ class Graph:
         self.n = int(n)
         self._keys = keys  # sorted unique int64 keys u*n+v with u<v
         self.m = int(keys.size)
-        u = keys // n
-        v = keys % n
-        ends = np.concatenate([u, v])
-        nbrs = np.concatenate([v, u])
-        order = np.lexsort((nbrs, ends))
-        self._nbr = nbrs[order]
-        counts = np.bincount(ends, minlength=n)
-        self._off = np.concatenate([[0], np.cumsum(counts)])
+        u, v = np.divmod(keys, n)
+        # Both orientations of every edge as arc keys tail*n+head; one sort
+        # puts the arcs in CSR order, rows ascending and heads sorted within.
+        arcs = np.sort(np.concatenate([keys, v * n + u]))
+        self._nbr = arcs % n
+        self._off = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
         self._cache: dict = {}
 
     # -- constructors -------------------------------------------------
@@ -106,20 +103,12 @@ class Graph:
         return int(np.min(np.diff(self._off)))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        lo, hi = (u, v) if u < v else (v, u)
-        return lo * self.n + hi in self.edge_key_set()
+        row = self.neighbors(u)
+        i = int(np.searchsorted(row, v))
+        return bool(i < row.size and row[i] == v)
 
     def edge_keys(self) -> np.ndarray:
         return self._keys
-
-    def edge_key_set(self) -> set:
-        ks = self._cache.get("keyset")
-        if ks is None:
-            ks = set(self._keys.tolist())
-            self._cache["keyset"] = ks
-        return ks
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for k in self._keys.tolist():
@@ -189,10 +178,6 @@ class NodeSubset:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-
-def min_degree(g: Graph) -> int:
-    return g.min_degree()
 
 
 def intersect_graphs(g1: Graph, g2: Graph) -> Graph:

@@ -16,6 +16,12 @@ Families:
 
 All samplers are pure functions of ``(params, RngStream)``; identical
 streams give identical graphs regardless of platform or thread count.
+
+Rings and edges stay in flat NumPy arrays from the draw to the
+:class:`Graph`: an :class:`ItemAssignment` holds every ring in one CSR pair
+``(offsets, items)``, and ``build_rig`` reads those arrays directly. The
+samplers build the arrays themselves; only hand-made rings, entering
+through :meth:`ItemAssignment.from_rings`, are validated.
 """
 
 from __future__ import annotations
@@ -125,65 +131,71 @@ ModelSpec = Union[UniformRigParams, BinomialRigParams, ErParams, RggParams, Inte
 # -- item assignments ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemAssignment:
-    """Per-node sorted rings of distinct item ids drawn from ``range(P)``."""
+    """Per-node rings of distinct item ids from ``range(P)``, in CSR layout.
+
+    ``items[offsets[v]:offsets[v + 1]]`` is node v's ring, sorted ascending.
+    The samplers build these arrays directly and are not checked again;
+    :meth:`from_rings` is the one constructor that validates.
+    """
 
     n: int
     P: int
-    rings: tuple[tuple[int, ...], ...]
+    offsets: np.ndarray
+    items: np.ndarray
 
-    def __post_init__(self):
-        if len(self.rings) != self.n:
-            raise ParameterError("one ring per node required")
-        for ring in self.rings:
-            if any(not 0 <= it < self.P for it in ring):
+    @classmethod
+    def from_rings(cls, P: int, rings) -> "ItemAssignment":
+        """Checked assignment from one iterable of item ids per node; each
+        ring is sorted, and an id outside ``range(P)`` or repeated in its
+        ring raises :class:`ParameterError`."""
+        rows = [np.sort(np.asarray(r, dtype=np.int64)) for r in rings]
+        for row in rows:
+            if row.size and (row[0] < 0 or row[-1] >= P):
                 raise ParameterError("item id out of pool range")
-            if len(set(ring)) != len(ring):
+            if np.any(row[1:] == row[:-1]):
                 raise ParameterError("duplicate item in a ring")
+        sizes = np.array([row.size for row in rows], dtype=np.int64)
+        items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        return cls(len(rows), P, np.concatenate([[0], np.cumsum(sizes)]), items)
 
 
-def _distinct_items(rng: np.random.Generator, P: int, sizes: np.ndarray) -> list[list[int]]:
-    """Uniform distinct subsets, one per row, via a batched Floyd walk.
+def _distinct_items(rng: np.random.Generator, P: int, sizes: np.ndarray) -> ItemAssignment:
+    """Uniform distinct subsets, one per node, via a batched Floyd walk.
 
-    Row i receives ``sizes[i]`` distinct items from ``range(P)``; cost is
+    Node i receives ``sizes[i]`` distinct items from ``range(P)``; cost is
     O(sum(sizes)) draws independent of P, which matters for huge pools.
     """
-    total = int(sizes.sum())
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
     if total == 0:
-        return [[] for _ in sizes]
+        return ItemAssignment(sizes.size, P, offsets, np.empty(0, dtype=np.int64))
     # For row of size k the Floyd walk draws bounds P-k+1, ..., P.
-    intra = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    intra = np.arange(total) - np.repeat(offsets[:-1], sizes)
     highs = P - np.repeat(sizes, sizes) + 1 + intra
-    draws = rng.integers(0, highs).tolist()
-    out: list[list[int]] = []
+    picks = rng.integers(0, highs).tolist()
     pos = 0
     for k in sizes.tolist():
         chosen: set[int] = set()
         j = P - k
-        for d in draws[pos:pos + k]:
-            pick = d if d not in chosen else j
-            chosen.add(pick)
+        for d in picks[pos:pos + k]:
+            chosen.add(d if d not in chosen else j)
             j += 1
+        picks[pos:pos + k] = sorted(chosen)
         pos += k
-        out.append(sorted(chosen))
-    return out
+    return ItemAssignment(sizes.size, P, offsets, np.array(picks, dtype=np.int64))
 
 
 def sample_uniform_assignment(p: UniformRigParams, rng: RngStream) -> ItemAssignment:
-    gen = rng.generator()
-    sizes = np.full(p.n, p.K, dtype=np.int64)
-    rings = _distinct_items(gen, p.P, sizes)
-    return ItemAssignment(p.n, p.P, tuple(tuple(r) for r in rings))
+    return _distinct_items(rng.generator(), p.P, np.full(p.n, p.K, dtype=np.int64))
 
 
 def sample_binomial_assignment(p: BinomialRigParams, rng: RngStream) -> ItemAssignment:
     # Ring size is Binomial(P, t); conditioned on its size a ring is a
     # uniform subset, so sizes-then-subsets reproduces the model exactly.
     gen = rng.generator()
-    sizes = gen.binomial(p.P, p.t, size=p.n).astype(np.int64)
-    rings = _distinct_items(gen, p.P, sizes)
-    return ItemAssignment(p.n, p.P, tuple(tuple(r) for r in rings))
+    return _distinct_items(gen, p.P, gen.binomial(p.P, p.t, size=p.n).astype(np.int64))
 
 
 # -- intersection graph construction --------------------------------------
@@ -201,16 +213,13 @@ def build_rig(assignment: ItemAssignment, s: int) -> Graph:
     if s < 1:
         raise ParameterError("s must be >= 1")
     n = assignment.n
-    nodes = np.repeat(
-        np.arange(n, dtype=np.int64),
-        np.fromiter((len(r) for r in assignment.rings), dtype=np.int64, count=n),
-    )
-    if nodes.size == 0:
+    if assignment.items.size == 0:
         return Graph.empty(n)
-    items = np.concatenate([np.asarray(r, dtype=np.int64) for r in assignment.rings])
-    order = np.lexsort((nodes, items))
-    items = items[order]
-    nodes = nodes[order]
+    # Holders are listed in ascending node order, so a stable sort by item
+    # leaves each item's holders ascending.
+    order = np.argsort(assignment.items, kind="stable")
+    items = assignment.items[order]
+    nodes = np.repeat(np.arange(n, dtype=np.int64), np.diff(assignment.offsets))[order]
     _, seg_starts, seg_lens = np.unique(items, return_index=True, return_counts=True)
     pair_total = int((seg_lens * (seg_lens - 1) // 2).sum())
     if pair_total > _DENSE_PAIR_LIMIT:
@@ -233,9 +242,9 @@ def _build_rig_dense(assignment: ItemAssignment, s: int) -> Graph:
     n, P = assignment.n, assignment.P
     words = (P + 63) // 64
     packed = np.zeros((n, words), dtype=np.uint64)
-    for v, ring in enumerate(assignment.rings):
-        idx = np.asarray(ring, dtype=np.int64)
-        np.bitwise_or.at(packed, (v, idx // 64), np.uint64(1) << (idx % 64).astype(np.uint64))
+    idx = assignment.items
+    nodes = np.repeat(np.arange(n, dtype=np.int64), np.diff(assignment.offsets))
+    np.bitwise_or.at(packed, (nodes, idx // 64), np.uint64(1) << (idx % 64).astype(np.uint64))
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
     for u in range(n - 1):
@@ -279,23 +288,12 @@ def sample_er(p: ErParams, rng: RngStream) -> Graph:
         return Graph.empty(p.n)
     m = int(gen.binomial(total, p.q))
     idx = np.sort(_distinct_indices(gen, total, m))
-    # Decode triangular index: pair (u, v), u < v, counted row by row.
-    u = (np.floor((2 * p.n - 1 - np.sqrt((2 * p.n - 1) ** 2 - 8 * idx.astype(np.float64))) / 2)).astype(np.int64)
-    base = u * (2 * p.n - u - 1) // 2
-    # Guard the float inversion near row boundaries.
-    over = base > idx
-    while np.any(over):
-        u[over] -= 1
-        base = u * (2 * p.n - u - 1) // 2
-        over = base > idx
-    nxt = (u + 1) * (2 * p.n - u - 2) // 2
-    under = idx >= nxt
-    while np.any(under):
-        u[under] += 1
-        nxt = (u + 1) * (2 * p.n - u - 2) // 2
-        base = u * (2 * p.n - u - 1) // 2
-        under = idx >= nxt
-    v = idx - base + u + 1
+    # Decode the triangular index exactly: row u (pairs (u, v), v > u)
+    # starts at u * (2n - u - 1) / 2.
+    rows = np.arange(p.n, dtype=np.int64)
+    starts = rows * (2 * p.n - rows - 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    v = idx - starts[u] + u + 1
     return Graph(p.n, u * p.n + v)
 
 

@@ -10,7 +10,6 @@ from riglab.graphs import (
     from_edge_list_text,
     intersect_graphs,
     is_connected,
-    min_degree,
     to_edge_list_text,
 )
 
@@ -60,17 +59,17 @@ class TestGraphBasics:
 
 class TestMinDegree:
     def test_empty_graph(self):
-        assert min_degree(Graph.empty(5)) == 0
+        assert Graph.empty(5).min_degree() == 0
 
     def test_complete_graph(self):
-        assert min_degree(Graph.complete(4)) == 3
+        assert Graph.complete(4).min_degree() == 3
 
     def test_star(self):
         # center plus 3 leaves: leaves have degree 1
-        assert min_degree(Graph.star(3)) == 1
+        assert Graph.star(3).min_degree() == 1
 
     def test_single_node(self):
-        assert min_degree(Graph.empty(1)) == 0
+        assert Graph.empty(1).min_degree() == 0
 
 
 class TestIntersect:

@@ -10,6 +10,7 @@ from riglab.models import (
     BinomialRigParams,
     ErParams,
     IntersectionSpec,
+    ItemAssignment,
     RggParams,
     UniformRigParams,
     build_rig,
@@ -22,6 +23,12 @@ from riglab.models import (
 )
 from riglab.rng import RngStream
 from riglab.scaling import uniform_overlap_tail, binomial_overlap_tail
+
+
+def _rings(a):
+    """Node rings of an assignment as lists, for literal comparison."""
+    items, off = a.items.tolist(), a.offsets.tolist()
+    return [items[off[v]:off[v + 1]] for v in range(a.n)]
 
 
 class TestParamValidation:
@@ -51,11 +58,11 @@ class TestParamValidation:
 class TestUniformAssignment:
     def test_only_one_subset_possible(self):
         a = sample_uniform_assignment(UniformRigParams(3, 2, 2), RngStream(1))
-        assert a.rings == ((0, 1), (0, 1), (0, 1))
+        assert _rings(a) == [[0, 1], [0, 1], [0, 1]]
 
     def test_ring_sizes_and_distinctness(self):
         a = sample_uniform_assignment(UniformRigParams(50, 7, 100), RngStream(2))
-        for ring in a.rings:
+        for ring in _rings(a):
             assert len(ring) == 7
             assert len(set(ring)) == 7
             assert all(0 <= x < 100 for x in ring)
@@ -66,7 +73,7 @@ class TestUniformAssignment:
         p = UniformRigParams(1, 1, 5)
         for i in range(100_000):
             a = sample_uniform_assignment(p, RngStream(42, i))
-            counts[a.rings[0][0]] += 1
+            counts[_rings(a)[0][0]] += 1
         expected = 100_000 / 5
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 18.47  # chi2_{4, 0.999}
@@ -77,7 +84,7 @@ class TestUniformAssignment:
         p = UniformRigParams(2, 1, 2)
         for i in range(100_000):
             a = sample_uniform_assignment(p, RngStream(7, i))
-            key = (a.rings[0][0], a.rings[1][0])
+            key = tuple(a.items.tolist())
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         for c in counts.values():
@@ -85,25 +92,38 @@ class TestUniformAssignment:
 
     def test_large_pool_is_cheap(self):
         a = sample_uniform_assignment(UniformRigParams(4, 3, 10**9), RngStream(3))
-        for ring in a.rings:
+        for ring in _rings(a):
             assert len(ring) == 3
+
+
+class TestFromRings:
+    def test_sorts_each_ring(self):
+        a = ItemAssignment.from_rings(10, [[7, 2, 5], [], [9, 0]])
+        assert (a.n, a.P) == (3, 10)
+        assert a.offsets.tolist() == [0, 3, 3, 5]
+        assert a.items.tolist() == [2, 5, 7, 0, 9]
+
+    @pytest.mark.parametrize("rings", [[[0, 10]], [[-1, 3]], [[1], [4, 2, 4]]])
+    def test_rejects_bad_ids(self, rings):
+        with pytest.raises(ParameterError):
+            ItemAssignment.from_rings(10, rings)
 
 
 class TestBinomialAssignment:
     def test_t_zero_empty(self):
         a = sample_binomial_assignment(BinomialRigParams(4, 0.0, 10), RngStream(1))
-        assert all(len(r) == 0 for r in a.rings)
+        assert all(len(r) == 0 for r in _rings(a))
 
     def test_t_one_full_pool(self):
         a = sample_binomial_assignment(BinomialRigParams(4, 1.0, 10), RngStream(1))
-        assert all(r == tuple(range(10)) for r in a.rings)
+        assert all(r == list(range(10)) for r in _rings(a))
 
     def test_mean_ring_size(self):
         # P=10, t=0.3: mean ring size over 1e5 seeds near P*t = 3
         p = BinomialRigParams(1, 0.3, 10)
         total = 0
         for i in range(100_000):
-            total += len(sample_binomial_assignment(p, RngStream(11, i)).rings[0])
+            total += len(_rings(sample_binomial_assignment(p, RngStream(11, i)))[0])
         assert abs(total / 100_000 - 3.0) < 0.05
 
 
@@ -113,15 +133,11 @@ class TestBuildRig:
         assert build_rig(a, 1).is_complete()
 
     def test_disjoint_rings_empty(self):
-        from riglab.models import ItemAssignment
-
-        a = ItemAssignment(3, 3, ((0,), (1,), (2,)))
+        a = ItemAssignment.from_rings(3, [[0], [1], [2]])
         assert build_rig(a, 1).m == 0
 
     def test_hand_enumerated_path(self):
-        from riglab.models import ItemAssignment
-
-        a = ItemAssignment(3, 4, ((0, 1), (1, 2), (2, 3)))
+        a = ItemAssignment.from_rings(4, [[0, 1], [1, 2], [2, 3]])
         g = build_rig(a, 1)
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
 
@@ -151,7 +167,8 @@ class TestBuildRig:
         params = UniformRigParams(2, K, P, s)
         for i in range(trials):
             a = sample_uniform_assignment(params, RngStream(13, i))
-            hits += len(set(a.rings[0]) & set(a.rings[1])) >= s
+            r0, r1 = _rings(a)
+            hits += len(set(r0) & set(r1)) >= s
         se = math.sqrt(p_exact * (1 - p_exact) / trials)
         assert abs(hits / trials - p_exact) < 3 * se
 
@@ -162,7 +179,8 @@ class TestBuildRig:
         params = BinomialRigParams(2, t, P, s)
         for i in range(trials):
             a = sample_binomial_assignment(params, RngStream(14, i))
-            hits += len(set(a.rings[0]) & set(a.rings[1])) >= s
+            r0, r1 = _rings(a)
+            hits += len(set(r0) & set(r1)) >= s
         se = math.sqrt(p_exact * (1 - p_exact) / trials)
         assert abs(hits / trials - p_exact) < 3 * se
 
@@ -241,11 +259,6 @@ class TestSampleModel:
         # frozen fingerprint guards accidental changes to stream derivation
         g = sample_er(ErParams(30, 0.3), RngStream(12345, 6))
         assert g.m == 142
-
-
-def _rings(a):
-    """Node rings of an assignment as lists, for literal comparison."""
-    return [list(r) for r in a.rings]
 
 
 def _sha(keys):
