@@ -156,9 +156,9 @@ class ItemAssignment:
                 raise ParameterError("item id out of pool range")
             if np.any(row[1:] == row[:-1]):
                 raise ParameterError("duplicate item in a ring")
-        sizes = np.array([row.size for row in rows], dtype=np.int64)
+        offsets = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
         items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        return cls(len(rows), P, np.concatenate([[0], np.cumsum(sizes)]), items)
+        return cls(len(rows), P, offsets, items)
 
 
 def _distinct_items(rng: np.random.Generator, P: int, sizes: np.ndarray) -> ItemAssignment:

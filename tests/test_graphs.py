@@ -52,6 +52,14 @@ class TestGraphBasics:
     def test_degree_sum_even(self, g):
         assert int(g.degrees().sum()) % 2 == 0
 
+    @given(random_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_has_edge_matches_edge_list(self, g):
+        edges = set(g.edges())
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
     def test_neighbors_sorted(self):
         g = Graph.from_edges(5, [(3, 1), (3, 4), (3, 0), (3, 2)])
         assert list(g.neighbors(3)) == [0, 1, 2, 4]
