@@ -21,12 +21,15 @@ Rings and edges stay in flat NumPy arrays from the draw to the
 :class:`Graph`: an :class:`ItemAssignment` holds every ring in one CSR pair
 ``(offsets, items)``, and ``build_rig`` reads those arrays directly. The
 samplers build the arrays themselves; only hand-made rings, entering
-through :meth:`ItemAssignment.from_rings`, are validated.
+through :meth:`ItemAssignment.from_rings`, are validated. One sampler of
+uniform subsets, ``_distinct_rows``, draws every ring of an assignment and
+the edge slots of ``G(n, q)``, all rows of one call in batched NumPy draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -161,41 +164,57 @@ class ItemAssignment:
         return cls(len(rows), P, offsets, items)
 
 
-def _distinct_items(rng: np.random.Generator, P: int, sizes: np.ndarray) -> ItemAssignment:
-    """Uniform distinct subsets, one per node, via a batched Floyd walk.
-
-    Node i receives ``sizes[i]`` distinct items from ``range(P)``; cost is
-    O(sum(sizes)) draws independent of P, which matters for huge pools.
+def _distinct_rows(gen: np.random.Generator, N: int, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(offsets, values)``: row r is a sorted uniform ``sizes[r]``-subset
+    of ``range(N)``. A row with ``4 * size >= N`` is the head of a permutation
+    (drawn first, in row order); every other row is the first ``size`` distinct
+    values of i.i.d. uniform draws, made in rounds of ``deficit + deficit // 16
+    + 16`` per row with one ``gen.integers`` call for all rows. Rows are told
+    apart by the key ``row * N + value``, so ``len(sizes) * N`` must be < 2**63.
     """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(sizes) * N >= 2**63:
+        raise ParameterError(f"{len(sizes)} rows of range({N}) pass the 2**63 key limit")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    if total == 0:
-        return ItemAssignment(sizes.size, P, offsets, np.empty(0, dtype=np.int64))
-    # For row of size k the Floyd walk draws bounds P-k+1, ..., P.
-    intra = np.arange(total) - np.repeat(offsets[:-1], sizes)
-    highs = P - np.repeat(sizes, sizes) + 1 + intra
-    picks = rng.integers(0, highs).tolist()
-    pos = 0
-    for k in sizes.tolist():
-        chosen: set[int] = set()
-        j = P - k
-        for d in picks[pos:pos + k]:
-            chosen.add(d if d not in chosen else j)
-            j += 1
-        picks[pos:pos + k] = sorted(chosen)
-        pos += k
-    return ItemAssignment(sizes.size, P, offsets, np.array(picks, dtype=np.int64))
+    values = np.empty(int(offsets[-1]), dtype=np.int64)
+    full = (sizes > 0) & (4 * sizes >= N)
+    short = (sizes > 0) & ~full
+    for r in np.flatnonzero(full):
+        values[offsets[r]:offsets[r + 1]] = np.sort(gen.permutation(N)[:sizes[r]])
+    rows = np.flatnonzero(short)
+    need, picked = sizes[rows], np.empty(0, dtype=np.int64)  # accepted keys, ascending
+    while rows.size:
+        draws = need + need // 16 + 16
+        bounds = np.concatenate([[0], np.cumsum(draws)])
+        batch = np.repeat(rows, draws) * N + gen.integers(0, N, size=int(bounds[-1]))
+        keys = np.concatenate([picked, batch])
+        # First draw of each key: its least index (np.unique's needs a slower stable sort).
+        order = np.argsort(keys)
+        ranked = keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+        first = np.minimum.reduceat(order, starts) - picked.size  # < 0: accepted earlier
+        # A row keeps its first ``need`` new keys in draw order.
+        at = first[first >= 0]
+        seen = np.concatenate([[0], np.cumsum(np.bincount(at, minlength=batch.size))])
+        slot = np.repeat(np.arange(rows.size), draws)[at]
+        keep = first < 0
+        keep[~keep] = seen[at] - seen[bounds[slot]] < need[slot]
+        picked = ranked[starts][keep]
+        need -= np.minimum(np.diff(seen[bounds]), need)
+        rows, need = rows[need > 0], need[need > 0]
+    values[np.repeat(short, sizes)] = picked % N
+    return offsets, values
 
 
 def sample_uniform_assignment(p: UniformRigParams, rng: RngStream) -> ItemAssignment:
-    return _distinct_items(rng.generator(), p.P, np.full(p.n, p.K, dtype=np.int64))
+    return ItemAssignment(p.n, p.P, *_distinct_rows(rng.generator(), p.P, np.full(p.n, p.K)))
 
 
 def sample_binomial_assignment(p: BinomialRigParams, rng: RngStream) -> ItemAssignment:
     # Ring size is Binomial(P, t); conditioned on its size a ring is a
     # uniform subset, so sizes-then-subsets reproduces the model exactly.
     gen = rng.generator()
-    return _distinct_items(gen, p.P, gen.binomial(p.P, p.t, size=p.n).astype(np.int64))
+    return ItemAssignment(p.n, p.P, *_distinct_rows(gen, p.P, gen.binomial(p.P, p.t, size=p.n)))
 
 
 # -- intersection graph construction --------------------------------------
@@ -261,21 +280,6 @@ def _build_rig_dense(assignment: ItemAssignment, s: int) -> Graph:
 # -- pairwise families -----------------------------------------------------
 
 
-def _distinct_indices(gen: np.random.Generator, total: int, m: int) -> np.ndarray:
-    """Uniform m-subset of ``range(total)`` by batched rejection."""
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    if m * 4 >= total:
-        return gen.permutation(total)[:m]
-    picked = np.empty(0, dtype=np.int64)
-    while picked.size < m:
-        batch = gen.integers(0, total, size=(m - picked.size) + (m - picked.size) // 16 + 16)
-        merged = np.concatenate([picked, batch])
-        _, first = np.unique(merged, return_index=True)
-        picked = merged[np.sort(first)]  # keep first-draw order, drop repeats
-    return picked[:m]
-
-
 def sample_er(p: ErParams, rng: RngStream) -> Graph:
     """Each unordered pair is an edge independently with probability q.
 
@@ -284,10 +288,7 @@ def sample_er(p: ErParams, rng: RngStream) -> Graph:
     """
     gen = rng.generator()
     total = p.n * (p.n - 1) // 2
-    if total == 0:
-        return Graph.empty(p.n)
-    m = int(gen.binomial(total, p.q))
-    idx = np.sort(_distinct_indices(gen, total, m))
+    _, idx = _distinct_rows(gen, total, [gen.binomial(total, p.q)])
     # Decode the triangular index exactly: row u (pairs (u, v), v > u)
     # starts at u * (2n - u - 1) / 2.
     rows = np.arange(p.n, dtype=np.int64)
@@ -337,8 +338,5 @@ def sample_model(spec: ModelSpec, rng: RngStream) -> Graph:
         return sample_rgg(spec, rng)[0]
     if isinstance(spec, IntersectionSpec):
         graphs = [sample_model(part, rng.substream(i)) for i, part in enumerate(spec.parts)]
-        out = graphs[0]
-        for g in graphs[1:]:
-            out = intersect_graphs(out, g)
-        return out
+        return reduce(intersect_graphs, graphs)
     raise ParameterError(f"unknown model spec {spec!r}")
