@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from riglab.errors import ParameterError
 from riglab.graphs import Graph
@@ -13,6 +14,7 @@ from riglab.models import (
     ItemAssignment,
     RggParams,
     UniformRigParams,
+    _distinct_rows,
     build_rig,
     rgg_from_points,
     sample_binomial_assignment,
@@ -125,6 +127,75 @@ class TestBinomialAssignment:
         for i in range(100_000):
             total += len(_rings(sample_binomial_assignment(p, RngStream(11, i)))[0])
         assert abs(total / 100_000 - 3.0) < 0.05
+
+
+def _reference_rows(gen, N, sizes):
+    """The sampling rule of ``_distinct_rows`` as a plain loop over rows."""
+    rows = [set() for _ in sizes]
+    for r, k in enumerate(sizes):
+        if k and 4 * k >= N:
+            rows[r] = set(gen.permutation(N)[:k].tolist())
+    short = [r for r, k in enumerate(sizes) if k and 4 * k < N]
+    while active := [r for r in short if len(rows[r]) < sizes[r]]:
+        draws = [sizes[r] - len(rows[r]) for r in active]
+        draws = [d + d // 16 + 16 for d in draws]
+        flat = iter(gen.integers(0, N, size=sum(draws)).tolist())
+        for r, count in zip(active, draws):
+            for _ in range(count):
+                x = next(flat)
+                if len(rows[r]) < sizes[r]:
+                    rows[r].add(x)
+    return [sorted(r) for r in rows]
+
+
+class TestDistinctRows:
+    @staticmethod
+    def _split(offsets, values):
+        return [values[offsets[r]:offsets[r + 1]].tolist() for r in range(len(offsets) - 1)]
+
+    @pytest.mark.parametrize("P, K, rows", [(40, 3, 200_000), (6, 3, 20_000)],
+                             ids=["rejection", "permutation"])
+    def test_subsets_uniform(self, P, K, rows):
+        # chi-squared over all C(P, K) subsets, every row from one call
+        offsets, values = _distinct_rows(np.random.default_rng(P), P, np.full(rows, K))
+        assert offsets.tolist() == list(range(0, K * rows + 1, K))
+        ranked = values.reshape(rows, K)
+        assert (np.diff(ranked, axis=1) > 0).all()
+        codes = (ranked * P ** np.arange(K)[::-1]).sum(axis=1)
+        counts = np.unique(codes, return_counts=True)[1]
+        cells = math.comb(P, K)
+        assert counts.size == cells
+        expected = rows / cells
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        assert chi2 < stats.chi2.ppf(0.999, cells - 1)
+
+    def test_ragged_rows_mix_both_branches(self):
+        gen = np.random.default_rng(3)
+        sizes = gen.binomial(400, 0.25, size=300)
+        assert (4 * sizes >= 400).any() and (4 * sizes < 400).any()
+        offsets, values = _distinct_rows(gen, 400, sizes)
+        assert np.diff(offsets).tolist() == sizes.tolist()
+        for row in self._split(offsets, values):
+            assert all(0 <= a < b < 400 for a, b in zip(row, row[1:]))
+            assert all(0 <= x < 400 for x in row)
+
+    @pytest.mark.parametrize("N, sizes", [
+        (4000, [999, 998, 500, 3, 0, 1200]),  # rows that need a second round
+        (40, [9] * 50),
+        (6, [0, 1, 2, 3, 6]),
+        (10**6, [249_999]),
+        (1, [0, 1]),
+    ])
+    def test_matches_the_loop_rule(self, N, sizes):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert self._split(*_distinct_rows(a, N, sizes)) == _reference_rows(b, N, sizes)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws consumed
+
+    def test_key_limit(self):
+        with pytest.raises(ParameterError, match=r"2\*\*63"):
+            sample_uniform_assignment(UniformRigParams(4, 3, 2**62), RngStream(1))
+        ring = _rings(sample_uniform_assignment(UniformRigParams(1, 3, 2**62), RngStream(1)))[0]
+        assert len(set(ring)) == 3 and all(0 <= x < 2**62 for x in ring)
 
 
 class TestBuildRig:
