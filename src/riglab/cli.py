@@ -64,17 +64,29 @@ def _property_from(kind: str, k: int) -> PropertyKind:
 # -- config handling -----------------------------------------------------------
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _typed(value, kind):
+    """``value`` if JSON gave it the type ``kind``; an integer also counts as
+    a number (and becomes a float), a boolean only as a boolean."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise TypeError
+    return float(value) if kind is float else value
+
+
 def _numbers(values) -> list:
     """A list of numbers, kept as written (sweep labels quote them)."""
     if not isinstance(values, list):
-        raise TypeError("not a list")
+        raise TypeError
     for x in values:
-        float(x)
+        _typed(x, float)
     return values
 
 
-# Each config section's keys and the conversion its values go through
-# (None: kept as written); a key naming a section below holds an object.
+# Each config section's keys and the JSON type of their values (None: any
+# value, kept as written); a key naming a section below holds an object.
 _CONFIG_KEYS = {
     "$": {"schema": None, "label": None, "seed": int, "trials": int, "workers": int},
     "$.property": {"kind": str, "k": int},
@@ -89,7 +101,7 @@ _REQUIRED_KEYS = {"$.property": ("kind",), "$.model": ("n",)}
 
 
 def _checked_section(doc, path: str) -> dict:
-    """``doc`` with unknown keys rejected and every value converted."""
+    """``doc`` with unknown keys rejected and every value type-checked."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
     keys = _CONFIG_KEYS[path]
@@ -100,14 +112,14 @@ def _checked_section(doc, path: str) -> dict:
             continue
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} at {path}")
-        convert = keys[key]
-        if convert is None or value is None:
+        kind = keys[key]
+        if kind is None or value is None:
             out[key] = value
         else:
             try:
-                out[key] = convert(value)
-            except (TypeError, ValueError) as exc:
-                what = "a list of numbers" if convert is _numbers else convert.__name__
+                out[key] = kind(value) if kind is _numbers else _typed(value, kind)
+            except TypeError as exc:
+                what = "a list of numbers" if kind is _numbers else _TYPE_NAMES[kind]
                 raise ConfigError(
                     f"key {key!r} at {path} must be {what}, got {value!r}"
                 ) from exc

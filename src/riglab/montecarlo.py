@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -215,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             (cfg.model, cfg.prop, cfg.budget, cfg.seed, indices[i:i + chunk])
             for i in range(0, cfg.trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             out: list[TrialRecord] = []
             for part in pool.map(_trial_batch, batches):
                 out.extend(part)
@@ -328,7 +329,8 @@ def sweep(
 ) -> list[SweepPoint]:
     """One experiment per axis point (deviation | n | k), errors recorded.
 
-    A family/property pair without a threshold law raises ParameterError
+    A family/property pair without a threshold law, a value that is not a
+    number, or a fractional value on the n or k axis raises ParameterError
     before any point runs.
 
     Point i runs with base seed ``mix64(seed, i)`` so points are
@@ -338,6 +340,11 @@ def sweep(
         raise ParameterError("axis must be one of deviation | n | k")
     if family.kind not in scaling.LAW_FAMILIES:
         raise ParameterError(f"{family.label()} has no threshold scaling to sweep")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"sweep value {value!r} is not a number")
+        if axis != "deviation" and not float(value).is_integer():
+            raise ParameterError(f"{axis} values must be whole numbers, got {value!r}")
     # On the k axis only some k may lack a law; those points record errors.
     scaling.threshold_spec(family, PropertyKind(prop.kind) if axis == "k" else prop)
     points: list[SweepPoint] = []

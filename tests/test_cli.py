@@ -80,7 +80,13 @@ class TestExitCodes:
         ("$.model must be an object", {"model": [30]}),
         ("key 'search_steps' at $.budget", {"budget": {"search_steps": [1]}}),
         ("key 'values' at $.sweep", {"sweep": {"axis": "deviation", "values": "0,1"}}),
-    ], ids=["q", "trials", "kind", "model", "search_steps", "values"])
+        ("key 'trials' at $", {"trials": 2.9}),
+        ("key 'seed' at $", {"seed": True}),
+        ("key 'n' at $.model", {"model": {**ER_MODEL, "n": "50"}}),
+        ("key 'q' at $.model", {"model": {**ER_MODEL, "q": True}}),
+        ("key 'timing' at $.output", {"output": {"timing": "no"}}),
+    ], ids=["q", "trials", "kind", "model", "search_steps", "values", "trials_float",
+            "seed_bool", "n_string", "q_bool", "timing_string"])
     def test_malformed_config_value(self, tmp_path, capsys, named, change):
         doc = {"trials": 2, "workers": 1, "model": ER_MODEL, "property": KCONN, **change}
         cfg = _write_config(tmp_path, **doc)
@@ -91,6 +97,23 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN)
         assert cli.main(["sweep", "-c", cfg, "--axis", "deviation", "--values", "a,b"]) == 2
         assert "--values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, values, flag, named", [
+        ("n", ["1e2", 60], None, "key 'values' at $.sweep"),
+        ("n", [True, 60], None, "key 'values' at $.sweep"),
+        ("n", [60.7], None, "n values must be whole numbers"),
+        ("k", None, "1.5,2", "k values must be whole numbers"),
+    ], ids=["string", "bool", "fractional_n", "fractional_k_flag"])
+    def test_bad_sweep_values(self, tmp_path, capsys, axis, values, flag, named):
+        out = tmp_path / "s.json"
+        sweep = {"axis": axis} if values is None else {"axis": axis, "values": values}
+        cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN,
+                            sweep=sweep, output={"summary": str(out)})
+        argv = ["sweep", "-c", cfg] + ([] if flag is None else ["--values", flag])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == "" and not out.exists()  # no point ran
 
     def test_sweep_of_a_pair_without_law(self, tmp_path, capsys):
         out = tmp_path / "s.json"

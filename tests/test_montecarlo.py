@@ -1,6 +1,6 @@
 import pytest
 
-from riglab import scaling
+from riglab import montecarlo, scaling
 from riglab.graphs import is_connected
 from riglab.models import ErParams, sample_model
 from riglab.montecarlo import ExperimentConfig, run_experiment, sweep
@@ -27,3 +27,32 @@ def test_k_axis_keeps_per_point_errors():
                    scaling.FamilyParams(n=30, K=8, P=200), "k", [1, 2], 2, 1)
     assert points[0].summary is not None
     assert points[1].summary is None and "no k_connected(k=2) law" in points[1].error
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, batches):
+        return map(fn, batches)
+
+
+def test_pool_never_larger_than_its_batches(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cfg = ExperimentConfig(model=ErParams(14, 0.3), prop=PropertyKind.k_connected(1),
+                           trials=4, seed=3)
+    pooled, serial = run_experiment(cfg, workers=500), run_experiment(cfg, workers=1)
+    assert _SerialPool.sizes == [4]
+    assert montecarlo.records_to_csv(pooled.records) == montecarlo.records_to_csv(serial.records)
+    assert pooled.summary == serial.summary
