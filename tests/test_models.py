@@ -271,6 +271,9 @@ class TestEr:
             total += sample_er(p, RngStream(21, i)).m
         assert abs(total / 10_000 - 495.0) < 10.0
 
+    def test_single_node_has_no_pairs(self):
+        assert sample_er(ErParams(1, 1.0), RngStream(1)).m == 0
+
     def test_pair_decode_valid(self):
         g = sample_er(ErParams(137, 0.05), RngStream(23))
         for u, v in g.edges():
