@@ -1,18 +1,16 @@
 """Exact maximum matching on general graphs (Edmonds' blossom algorithm).
 
-Tuned for the near-perfect-matching decision on sparse random graphs:
+Tuned for the near-perfect-matching decision on sparse random graphs. One
+pipeline serves both entry points: a greedy maximal matching and
+length-3 augmenting flips, then each free node in index order tries a
+cheap alternating DFS (sound but incomplete on odd cycles) and falls back
+to the full blossom search, which is the exactness authority.
 
-* forced pass: a vertex whose only remaining neighbor is u must match u
-  (always contained in some maximum matching); vertices this cascade
-  strands with no remaining neighbor are certified deficiencies,
-* greedy maximal pass plus length-3 augmenting flips,
-* per remaining free vertex: a cheap alternating DFS (sound but
-  incomplete on odd cycles), falling back to the full blossom search,
-  which is the exactness authority.
-
-A free vertex with no augmenting path stays free under every later
-augmentation, so the near-perfect decision stops as soon as the
-permanently-free count exceeds what parity allows.
+The loop stops once at most one node is free, since one free node ends
+no augmenting path, or once more than ``give_up`` searches have failed: a
+free node with no augmenting path stays free under every later
+augmentation, so the near-perfect decision stops as soon as the failed
+count exceeds what parity allows.
 """
 
 from __future__ import annotations
@@ -22,47 +20,18 @@ from collections import deque
 from .graphs import Graph
 
 
-def _initial_matching(adj: list[list[int]], n: int) -> tuple[list[int], int]:
-    """Forced + greedy + short-flip initial matching.
-
-    Returns the mate array and the number of vertices the forced cascade
-    left with no remaining neighbor; each such vertex is unmatched in some
-    maximum matching, so their count lower-bounds the deficiency.
-    """
+def _initial_matching(adj: list[list[int]], n: int) -> list[int]:
+    """Greedy maximal matching, then length-3 augmenting flips."""
     match = [-1] * n
-    alive = [True] * n
-    deg = [len(a) for a in adj]
-    stack = [v for v in range(n) if deg[v] == 1]
-    while stack:
-        v = stack.pop()
-        if not alive[v] or deg[v] != 1 or match[v] != -1:
-            continue
-        u = -1
-        for w in adj[v]:
-            if alive[w]:
-                u = w
-                break
-        if u == -1:
-            continue
-        match[v] = u
-        match[u] = v
-        alive[v] = alive[u] = False
-        for x in (v, u):
-            for w in adj[x]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        stack.append(w)
-    dead = sum(1 for v in range(n) if alive[v] and deg[v] == 0)
     for v in range(n):
-        if alive[v] and match[v] == -1:
+        if match[v] == -1:
             for u in adj[v]:
-                if alive[u] and match[u] == -1:
+                if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
     _short_augment_passes(adj, match, n)
-    return match, dead
+    return match
 
 
 def _short_augment_passes(adj: list[list[int]], match: list[int], n: int) -> None:
@@ -213,75 +182,54 @@ def _augment(match, p, v) -> None:
         v = ppv
 
 
-def _augment_from(adj, match, n, v, p, base, visit, stamp) -> bool:
-    """One exact augmentation attempt: cheap DFS, then blossom search."""
-    if _dfs_augment(adj, match, v, visit, stamp):
-        return True
-    end = _find_augmenting_path(adj, match, p, base, v, n)
-    if end == -1:
-        return False
-    _augment(match, p, end)
-    return True
+def _augment_all(g: Graph, give_up: int) -> tuple[list[int], int]:
+    """Mate array and free-node count after augmenting from each free node.
+
+    Stops once ``free <= 1`` or once more than ``give_up`` searches have
+    failed; every failed root is still free then, so ``free > give_up``.
+    """
+    n = g.n
+    adj = g.adjacency_lists()
+    match = _initial_matching(adj, n)
+    free = match.count(-1)
+    p = [-1] * n
+    base = list(range(n))
+    visit = [0] * n
+    failures = 0
+    for v in range(n):
+        if free <= 1 or failures > give_up:
+            break
+        if match[v] != -1:
+            continue
+        if _dfs_augment(adj, match, v, visit, v + 1):
+            free -= 2
+            continue
+        end = _find_augmenting_path(adj, match, p, base, v, n)
+        if end == -1:
+            failures += 1
+        else:
+            _augment(match, p, end)
+            free -= 2
+    return match, free
 
 
 def maximum_matching(g: Graph) -> list[int]:
     """Mate array of a maximum matching (-1 for uncovered nodes)."""
-    n = g.n
-    adj = g.adjacency_lists()
-    match, _ = _initial_matching(adj, n)
-    p = [-1] * n
-    base = list(range(n))
-    visit = [0] * n
-    stamp = 0
-    for v in range(n):
-        if match[v] == -1:
-            stamp += 1
-            _augment_from(adj, match, n, v, p, base, visit, stamp)
-    return match
+    return _augment_all(g, g.n)[0]
 
 
 def max_matching_size(g: Graph) -> int:
-    match = maximum_matching(g)
-    return sum(1 for v in match if v != -1) // 2
+    """Number of edges in a maximum matching."""
+    return (g.n - _augment_all(g, g.n)[1]) // 2
 
 
 def has_near_perfect_matching(g: Graph) -> bool:
     """True iff a matching covers all nodes except at most one.
 
-    Early exits: by parity the uncovered count can be at most
-    ``n - 2*floor(n/2)``; forced-cascade strandings certify deficiencies
-    up front, and every failed augmentation search pins one node as
-    permanently uncovered.
+    By parity at most ``n % 2`` nodes can stay uncovered; more isolated
+    nodes than that decide False before any matching is built.
     """
-    n = g.n
-    if n == 1:
-        return True
-    allowance = n - 2 * (n // 2)
-    degs = g.degrees()
-    if int((degs == 0).sum()) > allowance:
+    allowance = g.n % 2
+    if int((g.degrees() == 0).sum()) > allowance:
         return False
-    adj = g.adjacency_lists()
-    match, dead = _initial_matching(adj, n)
-    if dead > allowance:
-        return False
-    free = sum(1 for v in match if v == -1)
-    if free <= allowance:
-        return True
-    p = [-1] * n
-    base = list(range(n))
-    visit = [0] * n
-    stamp = 0
-    failures = 0
-    for v in range(n):
-        if match[v] != -1:
-            continue
-        stamp += 1
-        if _augment_from(adj, match, n, v, p, base, visit, stamp):
-            free -= 2
-            if free <= allowance:
-                return True
-        else:
-            failures += 1
-            if failures > allowance:
-                return False
-    return free <= allowance
+    return _augment_all(g, allowance)[1] <= allowance

@@ -234,12 +234,15 @@ def build_rig(assignment: ItemAssignment, s: int) -> Graph:
     n = assignment.n
     if assignment.items.size == 0:
         return Graph.empty(n)
-    # Holders are listed in ascending node order, so a stable sort by item
-    # leaves each item's holders ascending.
-    order = np.argsort(assignment.items, kind="stable")
-    items = assignment.items[order]
-    nodes = np.repeat(np.arange(n, dtype=np.int64), np.diff(assignment.offsets))[order]
-    _, seg_starts, seg_lens = np.unique(items, return_index=True, return_counts=True)
+    if n * assignment.P >= 2**63:
+        raise ParameterError(f"{n} rings of range({assignment.P}) pass the 2**63 key limit")
+    # Sorting by the key item * n + node leaves each item's holders ascending.
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(assignment.offsets))
+    keys += assignment.items * n
+    keys.sort()
+    items, nodes = np.divmod(keys, n)
+    seg_starts = np.flatnonzero(np.concatenate([[True], items[1:] != items[:-1]]))
+    seg_lens = np.diff(np.append(seg_starts, items.size))
     pair_total = int((seg_lens * (seg_lens - 1) // 2).sum())
     if pair_total > _DENSE_PAIR_LIMIT:
         return _build_rig_dense(assignment, s)

@@ -1,4 +1,4 @@
-"""Exact decision procedures for the four monitored graph properties.
+"""Exact decision procedures for the five monitored graph properties.
 
 * ``min_degree >= k`` and k-connectivity (every pair of nodes joined by at
   least k internally node-disjoint paths; complete graphs count as
@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hamilton as _hamilton
-from . import matching as _matching
 from .errors import BudgetExceeded, ParameterError
 from .graphs import Graph, NodeSubset, connected_components, is_connected
+from .matching import has_near_perfect_matching, max_matching_size  # re-exported
 
 MIN_DEGREE = "min_degree"
 K_CONNECTED = "k_connected"
@@ -233,15 +233,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
-# -- matching / hamilton facades --------------------------------------------
-
-
-def max_matching_size(g: Graph) -> int:
-    return _matching.max_matching_size(g)
-
-
-def has_near_perfect_matching(g: Graph) -> bool:
-    return _matching.has_near_perfect_matching(g)
+# -- hamilton facade --------------------------------------------------------
 
 
 def has_hamilton_cycle(g: Graph, budget: DecisionBudget = DEFAULT_BUDGET) -> bool:

@@ -221,6 +221,14 @@ class TestBuildRig:
             keys2 = set(g2.edge_keys().tolist())
             assert keys2 <= set(g1.edge_keys().tolist())
 
+    def test_key_limit(self):
+        # Holders are sorted by the key item * n + node, so n * P must be < 2**63.
+        P = 2**62
+        with pytest.raises(ParameterError, match=r"2\*\*63"):
+            build_rig(ItemAssignment.from_rings(P, [[0, P - 1], [P - 1]]), 1)
+        g = build_rig(ItemAssignment.from_rings(P - 1, [[0, P - 2], [P - 2]]), 1)
+        assert sorted(g.edges()) == [(0, 1)]
+
     def test_dense_fallback_agrees(self):
         from riglab.models import _build_rig_dense
 

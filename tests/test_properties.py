@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riglab.errors import BudgetExceeded, ParameterError
 from riglab.graphs import Graph
+from riglab.matching import maximum_matching
 from riglab.models import ErParams, sample_er
 from riglab.oracles import (
     oracle_hamilton,
@@ -27,6 +29,24 @@ from riglab.properties import (
 from riglab.rng import RngStream
 
 from conftest import random_small_graphs
+
+
+def pendant_rich_graph(seed, i, n_core, max_paths, max_len):
+    """A random recursive tree (even i) or a sparse ER graph (odd i) on
+    ``n_core`` nodes, with up to ``max_paths`` pendant paths attached."""
+    rng = np.random.default_rng([seed, i])
+    if i % 2 == 0:
+        edges = [(int(rng.integers(v)), v) for v in range(1, n_core)]
+    else:
+        q = min(1.0, 1.5 * math.log(n_core + 1) / n_core)
+        edges = list(sample_er(ErParams(n_core, q), RngStream(seed, i)).edges())
+    n = n_core
+    for _ in range(int(rng.integers(max_paths + 1))):
+        prev = int(rng.integers(n_core))
+        for _ in range(int(rng.integers(1, max_len + 1))):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph.from_edges(n, edges)
 
 
 class TestKConnected:
@@ -124,8 +144,18 @@ class TestMatching:
         ])
         assert max_matching_size(g) == oracle_max_matching(g)
 
+    def test_hub_with_three_leaves_is_deficient(self):
+        # No isolated node, but the hub covers one leaf at most.
+        n = 1000
+        er = sample_er(ErParams(n, 3 * math.log(n) / n), RngStream(404, 0))
+        hub = [(0, n)] + [(n, n + j) for j in (1, 2, 3)]
+        g = Graph.from_edges(n + 4, list(er.edges()) + hub)
+        assert g.min_degree() >= 1
+        assert not has_near_perfect_matching(g)
+
     def test_agrees_with_oracle(self):
-        for g in random_small_graphs(200, seed=202):
+        pendant = [pendant_rich_graph(303, i, 2 + i % 6, 2, 2) for i in range(200)]
+        for g in random_small_graphs(200, seed=202) + pendant:
             assert max_matching_size(g) == oracle_max_matching(g)
             assert has_near_perfect_matching(g) == oracle_near_perfect_matching(g)
 
@@ -249,6 +279,17 @@ class TestNetworkxCrossCheck:
                           RngStream(707, i))
             h = self._to_networkx(nx, g)
             assert max_matching_size(g) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+    def test_maximum_matching_on_pendant_rich_graphs(self):
+        nx = pytest.importorskip("networkx")
+        for i in range(60):
+            g = pendant_rich_graph(909, i, 20 + 3 * i, 8, 4)
+            mate = maximum_matching(g)
+            matched = [v for v in range(g.n) if mate[v] != -1]
+            assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in matched), i
+            size = len(nx.max_weight_matching(self._to_networkx(nx, g), maxcardinality=True))
+            assert len(matched) == 2 * size, i
+            assert has_near_perfect_matching(g) == (g.n - 2 * size <= 1), i
 
 
 class TestKRobust:
