@@ -4,7 +4,6 @@ Monte Carlo machinery to probe their threshold laws at desk scale."""
 from .errors import BudgetExceeded, ConfigError, EdgeListFormatError, ParameterError
 from .graphs import (
     Graph,
-    NodeSubset,
     connected_components,
     intersect_graphs,
     is_connected,
@@ -53,7 +52,6 @@ from .scaling import (
     deviation_from_params,
     exact_edge_probability,
     limiting_probability,
-    rgg_square_threshold,
     side_conditions,
     solve_param,
     threshold_spec,

@@ -93,7 +93,7 @@ _CONFIG_KEYS = {
     "$.model": {"family": str, "n": int, "K": int, "P": int, "s": int,
                 "t": float, "q": float, "r": float, "region": str},
     "$.solve": {"deviation": float},
-    "$.budget": {"max_enumeration_nodes": int, "search_steps": int},
+    "$.budget": {"search_steps": int},
     "$.output": {"csv": str, "summary": str, "timing": bool},
     "$.sweep": {"axis": str, "values": _numbers},
 }
@@ -133,7 +133,7 @@ def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     doc = _checked_section(doc, "$")
     if doc.get("schema") != montecarlo.SCHEMA:
@@ -154,12 +154,8 @@ def _family_params_from_args(args) -> scaling.FamilyParams:
 
 
 def _budget_from(doc: dict | None, args) -> DecisionBudget:
-    kw = {k: v for k, v in (doc or {}).items() if v is not None}
-    if getattr(args, "budget_nodes", None) is not None:
-        kw["max_enumeration_nodes"] = args.budget_nodes
-    if getattr(args, "search_steps", None) is not None:
-        kw["search_steps"] = args.search_steps
-    return DecisionBudget(**kw)
+    steps = _first_set(args.search_steps, (doc or {}).get("search_steps"))
+    return DecisionBudget() if steps is None else DecisionBudget(steps)
 
 
 def _first_set(*values):
@@ -191,10 +187,10 @@ def _cmd_check(args) -> int:
     prop = _property_from(args.property, args.k)
     budget = _budget_from(None, args)
     if prop.kind == "k_robust":
-        witness = k_robust_witness(g, prop.k, budget)
+        witness = k_robust_witness(g, prop.k)
         print("true" if witness is None else "false")
         if witness is not None:
-            print(f"witness T = {{{', '.join(map(str, witness.members()))}}}")
+            print(f"witness T = {{{', '.join(map(str, witness))}}}")
         return 0
     verdict = evaluate_property(g, prop, budget)
     print("true" if verdict else "false")
@@ -464,11 +460,10 @@ def _add_property_flags(p: argparse.ArgumentParser, required: bool = True) -> No
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None,
-                   help="enumeration cap for hamilton/robustness checkers")
     p.add_argument("--search-steps", type=int, default=None,
                    help="step budget of the hamilton rotation-extension search "
-                        "(default 200000)")
+                        "(default 200000); a graph it leaves open exits 3 when it "
+                        "has more than 24 nodes, the subset-DP cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

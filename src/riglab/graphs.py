@@ -8,8 +8,7 @@ in CSR-style sorted arrays; membership tests binary-search a node's row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -150,36 +149,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class NodeSubset:
-    """A subset of ``0..n-1`` stored as a bitmask; used for cut witnesses."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise ParameterError("subset mask out of range for universe size")
-
-    @classmethod
-    def from_nodes(cls, n: int, nodes: Iterable[int]) -> "NodeSubset":
-        mask = 0
-        for v in nodes:
-            if not 0 <= v < n:
-                raise ParameterError("subset member out of range")
-            mask |= 1 << v
-        return cls(n, mask)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def complement(self) -> "NodeSubset":
-        return NodeSubset(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
 def intersect_graphs(g1: Graph, g2: Graph) -> Graph:
     """Edge-wise intersection of two graphs on the same node set."""
     if g1.n != g2.n:
@@ -213,20 +182,24 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """Single-node graphs count as connected."""
-    adj = g.adjacency_lists()
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = [0]
-    count = 1
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == g.n
+    """Single-node graphs count as connected. The answer is cached on ``g``,
+    so the decisions and the trial loop that ask again search only once."""
+    conn = g._cache.get("connected")
+    if conn is None:
+        adj = g.adjacency_lists()
+        seen = bytearray(g.n)
+        seen[0] = 1
+        queue = [0]
+        count = 1
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    count += 1
+                    queue.append(y)
+        conn = g._cache["connected"] = count == g.n
+    return conn
 
 
 # -- edge-list text format -------------------------------------------
@@ -287,4 +260,8 @@ def from_edge_list_text(text: str) -> Graph:
 
 def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return from_edge_list_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListFormatError(f"edge list is not ASCII text: {exc}") from exc
+    return from_edge_list_text(text)

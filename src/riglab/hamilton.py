@@ -10,9 +10,9 @@ returns certified answers:
    edges or they close a subcycle, True when they form a spanning cycle,
 4. certified True: rotation-extension search, within ``search_steps``,
    produces an explicit cycle,
-5. up to the enumeration cap, the Bondy-Chvatal closure and then subset
-   dynamic programming over (visited-set, endpoint) states decide exactly;
-   above it the pipeline raises ``BudgetExceeded`` - never a guess.
+5. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
+   subset dynamic programming over (visited-set, endpoint) states decide
+   exactly; above it the pipeline raises ``BudgetExceeded`` - never a guess.
 
 Near the sharp thresholds where the experiments run, almost every
 non-Hamiltonian sample is caught by the local certificates and almost
@@ -27,6 +27,7 @@ from .errors import BudgetExceeded
 from .graphs import Graph, is_connected
 
 _DP_STATE_LIMIT = 1 << 21  # subset-DP states summed over all layers
+_DP_MAX_NODES = 24  # closure and DP keep n-bit masks and up to 2**n states
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -318,7 +319,7 @@ def _adopt(path, pos, new_prefix, length, n) -> None:
     pos[path[:length]] = np.arange(length)
 
 
-def decide_hamilton(g: Graph, max_enumeration_nodes: int, search_steps: int) -> bool:
+def decide_hamilton(g: Graph, search_steps: int) -> bool:
     n = g.n
     if not is_biconnected(g):
         return False
@@ -330,11 +331,11 @@ def decide_hamilton(g: Graph, max_enumeration_nodes: int, search_steps: int) -> 
     budget = [search_steps]
     if _rotation_extension(g.adjacency_lists(), n, budget):
         return True
-    if n > max_enumeration_nodes:
+    if n > _DP_MAX_NODES:
         spent = search_steps - max(budget[0], 0)
         raise BudgetExceeded(
             f"hamilton search inconclusive at n={n} after {spent} of "
             f"{search_steps} steps, above the subset DP cap of "
-            f"{max_enumeration_nodes} nodes"
+            f"{_DP_MAX_NODES} nodes"
         )
     return _closure_complete(g) or _hamilton_dp(g)

@@ -159,11 +159,7 @@ def _run_one_trial(
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"trial {index} (stream seed {stream.key()}): {exc}") from exc
     mind = g.min_degree()
-    # These decisions settle connectivity; the others need their own search.
-    settled = (prop.kind == K_CONNECTED and (outcome or prop.k == 1)) or (
-        prop.kind == HAMILTON_CYCLE and outcome
-    )
-    conn = outcome if settled else is_connected(g)
+    conn = is_connected(g)
     violations: list[str] = []
     if outcome:
         if prop.kind == K_CONNECTED and mind < prop.k:

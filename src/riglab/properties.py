@@ -12,8 +12,9 @@
 
 k-connectivity uses dedicated linear-time procedures for k=1 (search) and
 k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
-all run on one split digraph built once per decision; the exponential
-checkers (Hamilton, robustness) honor a :class:`DecisionBudget`.
+all run on one split digraph built once per decision. The exponential
+checkers raise ``BudgetExceeded`` past their limits: Hamilton's search
+past :class:`DecisionBudget`, both checkers past a fixed node count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import hamilton as _hamilton
 from .errors import BudgetExceeded, ParameterError
-from .graphs import Graph, NodeSubset, connected_components, is_connected
+from .graphs import Graph, connected_components, is_connected
 from .matching import has_near_perfect_matching, max_matching_size  # re-exported
 
 MIN_DEGREE = "min_degree"
@@ -78,25 +79,24 @@ class PropertyKind:
 
 @dataclass(frozen=True)
 class DecisionBudget:
-    """Limits for the exponential checkers.
+    """Step budget of the Hamilton decision's rotation-extension search.
 
-    ``max_enumeration_nodes`` (default 24) caps subset enumeration
-    (Hamilton DP, robustness). ``search_steps`` (default 200_000) bounds
-    the rotation-extension search the Hamilton decision runs before it
-    falls back to the subset DP.
+    ``search_steps`` (default 200_000) bounds the search the decision runs
+    before it falls back to the subset DP, which only graphs of at most
+    ``hamilton._DP_MAX_NODES`` nodes reach; a larger graph the search
+    leaves open raises ``BudgetExceeded``.
     """
 
-    max_enumeration_nodes: int = 24
     search_steps: int = 200_000
 
     def __post_init__(self):
-        if self.max_enumeration_nodes < 1:
-            raise ParameterError("max_enumeration_nodes must be positive")
         if self.search_steps < 1:
             raise ParameterError("search_steps must be positive")
 
 
 DEFAULT_BUDGET = DecisionBudget()
+
+_ROBUST_MAX_NODES = 24  # the Gray walk visits 2**(n-1) subsets
 
 
 # -- k-connectivity ----------------------------------------------------------
@@ -237,16 +237,15 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 
 def has_hamilton_cycle(g: Graph, budget: DecisionBudget = DEFAULT_BUDGET) -> bool:
-    return _hamilton.decide_hamilton(g, budget.max_enumeration_nodes, budget.search_steps)
+    return _hamilton.decide_hamilton(g, budget.search_steps)
 
 
 # -- k-robustness ------------------------------------------------------------
 
 
-def k_robust_witness(
-    g: Graph, k: int, budget: DecisionBudget = DEFAULT_BUDGET
-) -> NodeSubset | None:
-    """First failing subset T in Gray-code order, or None if k-robust.
+def k_robust_witness(g: Graph, k: int) -> tuple[int, ...] | None:
+    """Sorted nodes of the first failing subset T in Gray-code order, or
+    None if k-robust.
 
     Only subsets containing node 0 are enumerated: the defining condition
     is symmetric under T <-> complement, which halves the work. Cross
@@ -257,19 +256,18 @@ def k_robust_witness(
     n = g.n
     if n == 1:
         return None  # no non-empty strict subset exists
-    if n > budget.max_enumeration_nodes:
+    if n > _ROBUST_MAX_NODES:
         raise BudgetExceeded(
-            f"robustness enumeration at n={n} exceeds the cap "
-            f"{budget.max_enumeration_nodes}"
+            f"robustness enumeration at n={n} exceeds the cap {_ROBUST_MAX_NODES}"
         )
     blocks = connected_components(g)
     if len(blocks) > 1:
-        return NodeSubset.from_nodes(n, min(blocks, key=len))
+        return tuple(min(blocks, key=len))
     if k >= 2:
         degs = g.degrees()
         v = int(degs.argmin())
         if int(degs[v]) < k:
-            return NodeSubset.from_nodes(n, [v])
+            return (v,)
     adj = g.adjacency_lists()
     deg = [len(a) for a in adj]
     in_t = [False] * n
@@ -291,9 +289,8 @@ def k_robust_witness(
         refresh(v)
     full_rest = (1 << (n - 1)) - 1
     gray = 0
-    mask = 1  # T as bitmask, always contains node 0
     if satisfied == 0:
-        return NodeSubset(n, mask)
+        return (0,)
     i = 1
     while i <= full_rest:
         bit = (i & -i).bit_length() - 1
@@ -301,20 +298,19 @@ def k_robust_witness(
         u = bit + 1
         entering = not in_t[u]
         in_t[u] = entering
-        mask ^= 1 << u
         delta = 1 if entering else -1
         for w in adj[u]:
             cnt_in[w] += delta
             refresh(w)
         refresh(u)
         if gray != full_rest and satisfied == 0:
-            return NodeSubset(n, mask)
+            return tuple(v for v in range(n) if in_t[v])
         i += 1
     return None
 
 
-def is_k_robust(g: Graph, k: int, budget: DecisionBudget = DEFAULT_BUDGET) -> bool:
-    return k_robust_witness(g, k, budget) is None
+def is_k_robust(g: Graph, k: int) -> bool:
+    return k_robust_witness(g, k) is None
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -332,5 +328,5 @@ def evaluate_property(
     if prop.kind == HAMILTON_CYCLE:
         return has_hamilton_cycle(g, budget)
     if prop.kind == K_ROBUST:
-        return is_k_robust(g, prop.k, budget)
+        return is_k_robust(g, prop.k)
     raise ParameterError(f"unknown property {prop!r}")

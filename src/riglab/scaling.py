@@ -473,13 +473,6 @@ def coupling_value(family: ModelFamily, params: FamilyParams) -> float:
     return row.coupling(family, params)
 
 
-def rgg_square_threshold(params: FamilyParams, n: int) -> float:
-    """Geometric constant b for the unit square with boundary effect."""
-    params.require("K", "P", "r")
-    density = params.K**2 / params.P
-    return math.pi * params.r**2 * density / _rgg_denominator(SQUARE, params, n)
-
-
 def _rgg_denominator(region: str, params: FamilyParams, n: int) -> float:
     """Threshold denominator of the geometric compositions: ``ln n/n`` on
     the torus. On the square it is ``ln(n P/K^2)/n`` in the dense-ring

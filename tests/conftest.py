@@ -22,3 +22,16 @@ def random_small_graphs(count, seed, n_lo=4, n_hi=10, densities=(0.2, 0.5, 0.8))
         q = densities[i % len(densities)]
         out.append(sample_er(ErParams(n, q), RngStream(seed, i)))
     return out
+
+
+def assert_violates_robustness(g, k, witness):
+    """``witness`` is a non-empty strict subset T whose own nodes all have
+    fewer than k neighbors outside T, and whose outside nodes all have
+    fewer than k neighbors inside it."""
+    members = set(witness)
+    assert 0 < len(members) < g.n
+    adj = g.adjacency_lists()
+    assert all(sum(1 for w in adj[v] if w not in members) < k for v in members)
+    assert all(
+        sum(1 for w in adj[v] if w in members) < k for v in range(g.n) if v not in members
+    )

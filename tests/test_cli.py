@@ -7,7 +7,7 @@ import pytest
 
 from riglab import cli, scaling
 from riglab.errors import ConfigError
-from riglab.graphs import to_edge_list_text
+from riglab.graphs import Graph, to_edge_list_text, write_edge_list
 from riglab.models import (
     BinomialRigParams,
     ErParams,
@@ -18,6 +18,8 @@ from riglab.models import (
 )
 from riglab.montecarlo import SCHEMA, describe_model
 from riglab.rng import RngStream
+
+from conftest import assert_violates_robustness
 
 
 def _write_config(tmp_path, **doc):
@@ -128,6 +130,13 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["experiment", "-c", str(tmp_path / "absent.json")]) == 4
 
+    def test_undecodable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"schema": "rig-lab/1", "label": "\xff"}')
+        assert cli.main(["experiment", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and "Traceback" not in err
+
 
 class TestSeedFallback:
     def test_environment_seed(self, monkeypatch):
@@ -167,6 +176,9 @@ class TestRemovedOptions:
         ["solve", "--family", "er", "--property", "kconn", "--n", "50", "--beta", "0"],
         ["sweep", "--csv", "t.csv"],
         ["sweep", "--timing"],
+        ["check", "g.txt", "--property", "kconn", "--budget-nodes", "3"],
+        ["experiment", "--budget-nodes", "3"],
+        ["sweep", "--budget-nodes", "3"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -198,12 +210,87 @@ class TestRemovedOptions:
     @pytest.mark.parametrize("section, value, key", [
         ("solve", {"deviation": 0, "free": "q"}, "free"),
         ("budget", {"dp_state_limit": 1 << 21}, "dp_state_limit"),
-    ], ids=["solve.free", "budget.dp_state_limit"])
+        ("budget", {"max_enumeration_nodes": 24}, "max_enumeration_nodes"),
+    ], ids=["solve.free", "budget.dp_state_limit", "budget.max_enumeration_nodes"])
     def test_config_key_rejected(self, tmp_path, capsys, section, value, key):
         cfg = _write_config(tmp_path, trials=2, model={"family": "er", "n": 30},
                             property=KCONN, **{section: value})
         assert cli.main(["experiment", "-c", cfg]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def _edge_list(tmp_path, g, name="g.txt"):
+    path = tmp_path / name
+    write_edge_list(g, path)
+    return str(path)
+
+
+class TestCheck:
+    @pytest.mark.parametrize("graph, flags, expected", [
+        (Graph.cycle(6), ["--property", "kconn", "--k", "2"], "true"),
+        (Graph.cycle(6), ["--property", "kconn", "--k", "3"], "false"),
+        (Graph.from_edges(4, [(0, 1), (2, 3)]), ["--property", "kconn"], "false"),
+        (Graph.cycle(6), ["--property", "mindeg", "--k", "2"], "true"),
+        (Graph.path(5), ["--property", "mindeg", "--k", "2"], "false"),
+        (Graph.path(5), ["--property", "matching"], "true"),
+        (Graph.star(3), ["--property", "matching"], "false"),
+        (Graph.cycle(6), ["--property", "hamilton"], "true"),
+        (Graph.path(5), ["--property", "hamilton"], "false"),
+        (Graph.complete(4), ["--property", "robust", "--k", "2"], "true"),
+    ], ids=["c6-kconn2", "c6-kconn3", "two_pairs-kconn1", "c6-mindeg2", "p5-mindeg2",
+            "p5-matching", "star-matching", "c6-hamilton", "p5-hamilton", "k4-robust2"])
+    def test_verdict(self, tmp_path, capsys, graph, flags, expected):
+        assert cli.main(["check", _edge_list(tmp_path, graph), *flags]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_petersen_is_not_hamiltonian(self, tmp_path, capsys, petersen):
+        assert cli.main(["check", _edge_list(tmp_path, petersen), "--property", "hamilton"]) == 0
+        assert capsys.readouterr().out == "false\n"
+
+    def test_robust_witness_violates_condition(self, tmp_path, capsys):
+        c6 = Graph.cycle(6)
+        assert cli.main(["check", _edge_list(tmp_path, c6), "--property", "robust",
+                         "--k", "2"]) == 0
+        verdict, line = capsys.readouterr().out.splitlines()
+        assert verdict == "false"
+        assert line.startswith("witness T = {") and line.endswith("}")
+        witness = [int(v) for v in line[len("witness T = {"):-1].split(", ")]
+        assert_violates_robustness(c6, 2, witness)
+
+    @pytest.mark.parametrize("content", [b"3 2\n0 1\n", b"3 1\n0 1\xe9\n"],
+                             ids=["malformed", "undecodable"])
+    def test_bad_file(self, tmp_path, capsys, content):
+        path = tmp_path / "g.txt"
+        path.write_bytes(content)
+        assert cli.main(["check", str(path), "--property", "kconn"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_missing_file(self, tmp_path):
+        assert cli.main(["check", str(tmp_path / "absent.txt"), "--property", "kconn"]) == 4
+
+    def test_search_steps_exhausted(self, tmp_path, capsys):
+        # 4-regular circulant C_30(1, 2): no certificate settles it and it
+        # is above the subset DP cap, so only the search can
+        g = Graph.from_edges(30, [(v, (v + d) % 30) for v in range(30) for d in (1, 2)])
+        path = _edge_list(tmp_path, g)
+        assert cli.main(["check", path, "--property", "hamilton", "--search-steps", "1"]) == 3
+        assert "inconclusive" in capsys.readouterr().err
+        assert cli.main(["check", path, "--property", "hamilton"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+
+class TestPredict:
+    @pytest.mark.parametrize("flags", [
+        ["--family", "er", "--property", "kconn", "--deviation", "0"],
+        ["--family", "urig", "--property", "kconn", "--k", "2", "--n", "1000",
+         "--K", "10", "--P", "5000"],
+    ], ids=["deviation", "parameters"])
+    def test_json(self, capsys, flags):
+        assert cli.main(["predict", *flags, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == SCHEMA
+        assert 0.0 < doc["predicted_probability"] < 1.0
 
 
 class TestGeometricRegionDefault:

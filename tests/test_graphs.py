@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from riglab.errors import EdgeListFormatError, ParameterError
 from riglab.graphs import (
     Graph,
-    NodeSubset,
     connected_components,
     from_edge_list_text,
     intersect_graphs,
@@ -128,6 +127,15 @@ class TestComponents:
     def test_single_node_connected(self):
         assert is_connected(Graph.empty(1))
 
+    def test_connectivity_searched_once(self, monkeypatch):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        calls = []
+        lists = Graph.adjacency_lists
+        monkeypatch.setattr(Graph, "adjacency_lists", lambda self: calls.append(1) or lists(self))
+        assert not is_connected(g)
+        assert not is_connected(g)
+        assert len(calls) == 1
+
     @given(random_graphs())
     @settings(max_examples=60, deadline=None)
     def test_partition_covers_all_nodes(self, g):
@@ -168,14 +176,3 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListFormatError):
             from_edge_list_text(bad)
 
-
-class TestNodeSubset:
-    def test_members_and_complement(self):
-        s = NodeSubset.from_nodes(5, [0, 3])
-        assert s.members() == (0, 3)
-        assert s.complement().members() == (1, 2, 4)
-        assert len(s) == 2
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ParameterError):
-            NodeSubset.from_nodes(3, [3])

@@ -28,7 +28,7 @@ from riglab.properties import (
 )
 from riglab.rng import RngStream
 
-from conftest import random_small_graphs
+from conftest import assert_violates_robustness, random_small_graphs
 
 
 def pendant_rich_graph(seed, i, n_core, max_paths, max_len):
@@ -201,20 +201,20 @@ class TestHamilton:
         for g in random_small_graphs(150, seed=303):
             assert has_hamilton_cycle(g) == oracle_hamilton(g)
 
-    def test_staged_agrees_with_dp(self):
+    def test_staged_agrees_with_dp(self, monkeypatch):
         # keep mid-size graphs away from the subset DP (cap 3), so only
         # certificates and search decide, and compare with the DP itself
+        from riglab import hamilton
         from riglab.hamilton import _hamilton_dp
 
+        monkeypatch.setattr(hamilton, "_DP_MAX_NODES", 3)
         checked = 0
         for i in range(80):
             n = 13 + i % 4
             g = sample_er(ErParams(n, [2.2 / n, 3.2 / n, 0.4][i % 3]), RngStream(404, i))
             exact = _hamilton_dp(g)
             try:
-                staged = has_hamilton_cycle(
-                    g, DecisionBudget(max_enumeration_nodes=3, search_steps=20_000)
-                )
+                staged = has_hamilton_cycle(g, DecisionBudget(search_steps=20_000))
             except BudgetExceeded:
                 continue
             assert staged == exact
@@ -300,17 +300,7 @@ class TestKRobust:
     def test_c6_not_2_robust(self):
         c6 = Graph.cycle(6)
         assert not is_k_robust(c6, 2)
-        witness = k_robust_witness(c6, 2)
-        members = set(witness.members())
-        # the witness must genuinely violate the defining condition
-        adj = c6.adjacency_lists()
-        assert all(
-            sum(1 for w in adj[v] if w not in members) < 2 for v in members
-        )
-        assert all(
-            sum(1 for w in adj[v] if w in members) < 2
-            for v in range(6) if v not in members
-        )
+        assert_violates_robustness(c6, 2, k_robust_witness(c6, 2))
 
     def test_disconnected_not_1_robust(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -358,10 +348,10 @@ class TestCrossPropertyInvariants:
                     assert mind >= k
                     if k >= 2:
                         assert is_k_connected(g, k - 1)
-                if is_k_robust(g, k, budget):
+                if is_k_robust(g, k):
                     if k >= 2:
                         assert mind >= k
-                        assert is_k_robust(g, k - 1, budget)
+                        assert is_k_robust(g, k - 1)
             if g.n >= 3 and has_hamilton_cycle(g, budget):
                 assert is_k_connected(g, 2)
                 assert has_near_perfect_matching(g)

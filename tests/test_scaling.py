@@ -21,7 +21,6 @@ from riglab.scaling import (
     exact_edge_probability,
     limiting_probability,
     lnln_offset,
-    rgg_square_threshold,
     side_conditions,
     solve_param,
     threshold_spec,
@@ -300,6 +299,9 @@ class TestExactEdgeProbability:
         )
 
 
+SQUARE_RGG = ModelFamily.uniform_rig_rgg("square")
+
+
 class TestRggSquareThreshold:
     def test_dense_branch_b_one(self):
         # K^2/P = 1/ln n lies above the split for every n >= 3
@@ -309,7 +311,7 @@ class TestRggSquareThreshold:
         assert dens > 1 / (n ** (1 / 3) * math.log(n))
         target = math.log(n * P / K**2) / n
         r = math.sqrt(target / (math.pi * dens))
-        b = rgg_square_threshold(FamilyParams(n=n, K=K, P=P, r=r), n)
+        b = deviation_from_params(SQUARE_RGG, FamilyParams(n=n, K=K, P=P, r=r), KCONN1)
         assert b == pytest.approx(1.0, rel=1e-9)
 
     def test_sparse_branch_b_two(self):
@@ -319,7 +321,7 @@ class TestRggSquareThreshold:
         assert dens < 1 / (n ** (1 / 3) * math.log(n))  # second branch
         target = 8 * math.log(P / K**2) / n
         r = math.sqrt(target / (math.pi * dens))
-        b = rgg_square_threshold(FamilyParams(n=n, K=K, P=P, r=r), n)
+        b = deviation_from_params(SQUARE_RGG, FamilyParams(n=n, K=K, P=P, r=r), KCONN1)
         assert b == pytest.approx(2.0, rel=1e-9)
 
 
