@@ -373,6 +373,15 @@ class TestStreamFingerprints:
             1, 5, 7, 10, 15, 16, 17, 18, 19, 20, 32, 41, 45, 55, 58, 59, 67, 81,
             83, 119]
 
+    def test_urig_rgg_square_edge_keys(self):
+        spec = IntersectionSpec((UniformRigParams(12, 4, 10), RggParams(12, 0.4, "square")))
+        assert sample_model(spec, RngStream(7, 2)).edge_keys().tolist() == [
+            3, 7, 10, 11, 16, 19, 20, 28, 33, 40, 43, 46, 47, 55, 58, 59, 66, 94, 95,
+            131]
+        spec = IntersectionSpec((UniformRigParams(200, 8, 1000), RggParams(200, 0.2, "square")))
+        keys = [sample_model(spec, RngStream(7, i)).edge_keys() for i in range(20)]
+        assert _sha(np.concatenate(keys)) == "9294e42efcd53e82"
+
     def test_graph_neighbor_rows(self):
         g = sample_er(ErParams(8, 0.4), RngStream(9))
         assert [g.neighbors(u).tolist() for u in range(g.n)] == [
