@@ -12,7 +12,8 @@ Families:
 * random geometric graph on the unit torus or unit square: edge iff the
   two uniform points are within distance ``r`` (ties count as edges),
 * intersections of the above on a shared node set, keeping an edge only
-  if every component graph has it.
+  if every component graph has it; an ER part is not sampled but filters
+  the other parts' edges, keeping each independently with probability q.
 
 All samplers are pure functions of ``(params, RngStream)``; identical
 streams give identical graphs regardless of platform or thread count.
@@ -112,7 +113,8 @@ class RggParams:
 
 @dataclass(frozen=True)
 class IntersectionSpec:
-    """Sample each part independently on the same nodes, then intersect edges."""
+    """Independent parts on the same nodes, intersected edge by edge; an
+    ``ErParams`` part acts as an independent edge filter on the others."""
 
     parts: tuple["ModelSpec", ...]
 
@@ -340,6 +342,13 @@ def sample_model(spec: ModelSpec, rng: RngStream) -> Graph:
     if isinstance(spec, RggParams):
         return sample_rgg(spec, rng)[0]
     if isinstance(spec, IntersectionSpec):
-        graphs = [sample_model(part, rng.substream(i)) for i, part in enumerate(spec.parts)]
-        return reduce(intersect_graphs, graphs)
+        # Each ER part keeps each edge of the others (of part 0 if all are ER)
+        # on its own uniform < q, in key order: the law of sampling it in full.
+        filters = [i for i, part in enumerate(spec.parts) if isinstance(part, ErParams)]
+        drawn = [i for i in range(len(spec.parts)) if i not in filters] or [filters.pop(0)]
+        keys = reduce(intersect_graphs, [sample_model(spec.parts[i], rng.substream(i))
+                                         for i in drawn]).edge_keys()
+        for i in filters:
+            keys = keys[rng.substream(i).generator().random(keys.size) < spec.parts[i].q]
+        return Graph(spec.n, keys)
     raise ParameterError(f"unknown model spec {spec!r}")

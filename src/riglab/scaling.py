@@ -615,7 +615,8 @@ def _sampler_spec(spec_type: type, family: ModelFamily, params: FamilyParams) ->
 
 def build_model_spec(family: ModelFamily, params: FamilyParams) -> ModelSpec:
     """The sampler spec of ``family`` at ``params``; a composition samples
-    its parts on one node set and intersects their edges."""
+    its parts on one node set and intersects their edges, an ER part acting
+    as an independent edge filter."""
     row = FAMILIES[family.kind]
     params.require(*row.needs)
     if isinstance(row.model, tuple):

@@ -329,6 +329,38 @@ class TestSampleModel:
             hits += sample_model(spec, RngStream(31, i)).m
         assert abs(hits / 100_000 - 0.25) < 0.01
 
+    def test_composition_is_a_subgraph_of_its_first_part(self):
+        spec = IntersectionSpec((UniformRigParams(60, 4, 100), ErParams(60, 0.3)))
+        for i in range(10):
+            r = RngStream(8, i)
+            got = sample_model(spec, r).edge_keys()
+            candidates = sample_model(spec.parts[0], r.substream(0)).edge_keys()
+            assert got.size and np.isin(got, candidates).all()
+
+    def test_er_filter_keeps_candidates_at_rate_q(self):
+        # Given the G_1 edges, each survives the ER filter independently w.p. q.
+        q = 0.3
+        spec = IntersectionSpec((UniformRigParams(100, 5, 200), ErParams(100, q)))
+        kept = candidates = 0
+        for i in range(200):
+            r = RngStream(9, i)
+            kept += sample_model(spec, r).m
+            candidates += sample_model(spec.parts[0], r.substream(0)).m
+        assert abs(kept / candidates - q) < 4 * math.sqrt(q * (1 - q) / candidates)
+
+    def test_er_filter_q_one_keeps_every_candidate(self):
+        spec = IntersectionSpec((UniformRigParams(60, 4, 100), ErParams(60, 1.0)))
+        for i in range(5):
+            r = RngStream(10, i)
+            assert sample_model(spec, r) == sample_model(spec.parts[0], r.substream(0))
+
+    def test_all_er_composition(self):
+        n, trials = 40, 50
+        spec = IntersectionSpec((ErParams(n, 0.5), ErParams(n, 0.4)))
+        pairs = trials * n * (n - 1) // 2
+        hits = sum(sample_model(spec, RngStream(11, i)).m for i in range(trials))
+        assert abs(hits / pairs - 0.2) < 4 * math.sqrt(0.2 * 0.8 / pairs)
+
     def test_determinism(self):
         spec = IntersectionSpec((UniformRigParams(40, 4, 60), ErParams(40, 0.7)))
         a = sample_model(spec, RngStream(5, 17))
