@@ -153,8 +153,10 @@ def _family_params_from_args(args) -> scaling.FamilyParams:
     )
 
 
-def _budget_from(doc: dict | None, args) -> DecisionBudget:
+def _budget_from(doc: dict | None, args, prop: PropertyKind) -> DecisionBudget:
     steps = _first_set(args.search_steps, (doc or {}).get("search_steps"))
+    if steps is not None and prop.kind != "hamilton_cycle":
+        raise ConfigError("--search-steps (budget.search_steps) applies only to hamilton")
     return DecisionBudget() if steps is None else DecisionBudget(steps)
 
 
@@ -185,7 +187,7 @@ def _cmd_generate(args) -> int:
 def _cmd_check(args) -> int:
     g = read_edge_list(args.graph)
     prop = _property_from(args.property, args.k)
-    budget = _budget_from(None, args)
+    budget = _budget_from(None, args, prop)
     if prop.kind == "k_robust":
         witness = k_robust_witness(g, prop.k)
         print("true" if witness is None else "false")
@@ -318,7 +320,6 @@ def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
         raise ConfigError("trials must be set (flag --trials or config key)")
     seed = _default_seed(args.seed, doc.get("seed"))
     workers = _first_set(args.workers, doc.get("workers"), os.cpu_count() or 1)
-    budget = _budget_from(doc.get("budget"), args)
     prop_doc = doc.get("property")
     if args.property is not None:
         prop = _property_from(args.property, args.k)
@@ -326,6 +327,7 @@ def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
         prop = _property_from(prop_doc["kind"], _first_set(prop_doc.get("k"), 1))
     else:
         raise ConfigError("property must be set (flag --property or config key)")
+    budget = _budget_from(doc.get("budget"), args, prop)
     model_doc = doc.get("model")
     if model_doc is None:
         raise ConfigError("config needs a 'model' section")

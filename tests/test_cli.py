@@ -75,6 +75,22 @@ class TestExitCodes:
         assert f"trial 0 (stream seed {RngStream(0, 0).key()})" in err
         assert cli.main(["experiment", "-c", cfg]) == 0
 
+    def test_search_steps_off_hamilton_experiment(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN,
+                            budget={"search_steps": 5})
+        assert cli.main(["experiment", "-c", cfg]) == 2
+        assert "budget.search_steps" in capsys.readouterr().err
+
+    def test_search_steps_off_hamilton_sweep(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN,
+                            sweep={"axis": "deviation", "values": [0]},
+                            output={"summary": str(out)})
+        assert cli.main(["sweep", "-c", cfg, "--search-steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--search-steps" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("named, change", [
         ("key 'q' at $.model", {"model": {**ER_MODEL, "q": "abc"}}),
         ("key 'trials' at $", {"trials": "x"}),
@@ -268,6 +284,12 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["check", str(tmp_path / "absent.txt"), "--property", "kconn"]) == 4
+
+    def test_search_steps_off_hamilton(self, tmp_path, capsys):
+        path = _edge_list(tmp_path, Graph.complete(3))
+        assert cli.main(["check", path, "--property", "robust", "--search-steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--search-steps" in captured.err and captured.out == ""
 
     def test_search_steps_exhausted(self, tmp_path, capsys):
         # 4-regular circulant C_30(1, 2): no certificate settles it and it
