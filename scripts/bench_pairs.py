@@ -10,12 +10,13 @@ one directory and the change in another:
 Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds 15
 --trace 0`` once in each checkout, 15 being ``run_seconds`` in the change's
 ``BENCHMARK.json``. The parent runs first in even pairs and the change in
-odd ones, so a drift of the host's speed favours neither side. Each run's last output line is its JSON result. The output file
-keeps, per workload, every run's metrics, ``correct`` and ``failed``, the
-parent and change median of each metric, and the number of pairs in which
-the change was better, the direction of "better" being read from the
-change's ``BENCHMARK.json``. A workload already in the output file is
-replaced; the others are kept, so several workloads share one file.
+odd ones, so a drift of the host's speed favours neither side. Each run's
+last output line is its JSON result. The output file keeps, per workload,
+every run's metrics, ``correct`` and ``failed``, the parent and change
+median of each metric, and the number of pairs in which the change was
+better, the direction of "better" being read from the change's
+``BENCHMARK.json``. A workload already in the output file is replaced;
+the others are kept, so several workloads share one file.
 """
 
 from __future__ import annotations

@@ -344,11 +344,12 @@ def sample_model(spec: ModelSpec, rng: RngStream) -> Graph:
     if isinstance(spec, IntersectionSpec):
         # Each ER part keeps each edge of the others (of part 0 if all are ER)
         # on its own uniform < q, in key order: the law of sampling it in full.
-        filters = [i for i, part in enumerate(spec.parts) if isinstance(part, ErParams)]
-        drawn = [i for i in range(len(spec.parts)) if i not in filters] or [filters.pop(0)]
+        drawn = [i for i, part in enumerate(spec.parts) if not isinstance(part, ErParams)]
+        drawn = drawn or [0]
         keys = reduce(intersect_graphs, [sample_model(spec.parts[i], rng.substream(i))
                                          for i in drawn]).edge_keys()
-        for i in filters:
-            keys = keys[rng.substream(i).generator().random(keys.size) < spec.parts[i].q]
+        for i, part in enumerate(spec.parts):
+            if i not in drawn:
+                keys = keys[rng.substream(i).generator().random(keys.size) < part.q]
         return Graph(spec.n, keys)
     raise ParameterError(f"unknown model spec {spec!r}")
