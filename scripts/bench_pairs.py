@@ -13,10 +13,13 @@ Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds 15
 odd ones, so a drift of the host's speed favours neither side. Each run's
 last output line is its JSON result. The output file keeps, per workload,
 every run's metrics, ``correct`` and ``failed``, the parent and change
-median of each metric, and the number of pairs in which the change was
-better, the direction of "better" being read from the change's
-``BENCHMARK.json``. A workload already in the output file is replaced;
-the others are kept, so several workloads share one file.
+median and quartiles of each metric, the number of pairs in which the
+change was better, the direction of "better" being read from the change's
+``BENCHMARK.json``, and whether that meets the gain rule: at least ten
+pairs, the change better in at least nine tenths of them, and the medians
+further apart than the parent's quartiles. A workload already in the
+output file is replaced; the others are kept, so several workloads share
+one file.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SIDES = ("parent", "change")
 
@@ -44,7 +49,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Medians per side and paired wins of the change.
+    """Medians and quartiles per side, paired wins of the change, and the
+    gain rule.
 
     ``runs`` holds one record per run, ``{"pair", "side", "seed", "correct",
     "failed", "metrics": {name: value}}``; ``better`` maps each metric to
@@ -59,14 +65,22 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     for name, direction in better.items():
         parent = statistics.median(p["parent"][name] for p in pairs)
         change = statistics.median(p["change"][name] for p in pairs)
+        parent_q1, parent_q3 = np.percentile([p["parent"][name] for p in pairs], [25, 75])
+        change_q1, change_q3 = np.percentile([p["change"][name] for p in pairs], [25, 75])
         sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
         summary["metrics"][name] = {
             "better": direction,
             "parent_median": parent,
             "change_median": change,
+            "parent_q1": float(parent_q1),
+            "parent_q3": float(parent_q3),
+            "change_q1": float(change_q1),
+            "change_q3": float(change_q3),
             "change_over_parent": change / parent,
-            "pairs_change_better": sum(
-                sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs),
+            "pairs_change_better": wins,
+            "gain_rule_met": bool(len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                                  and sign * (change - parent) > parent_q3 - parent_q1),
         }
     return summary
 

@@ -31,10 +31,15 @@ _DP_MAX_NODES = 24  # closure and DP keep n-bit masks and up to 2**n states
 
 
 def is_biconnected(g: Graph) -> bool:
-    """At least 3 nodes, minimum degree >= 2, connected and no cut vertex."""
-    if g.n < 3 or g.min_degree() < 2 or not is_connected(g):
-        return False
-    return articulation_free(g.adjacency_lists(), g.n)
+    """At least 3 nodes, minimum degree >= 2, connected and no cut vertex.
+    The answer is cached on ``g``, as :func:`is_connected` caches its own."""
+    bic = g._cache.get("biconnected")
+    if bic is None:
+        bic = g._cache["biconnected"] = (
+            g.n >= 3 and g.min_degree() >= 2 and is_connected(g)
+            and articulation_free(g.adjacency_lists(), g.n)
+        )
+    return bic
 
 
 def articulation_free(adj: list[list[int]], n: int) -> bool:

@@ -161,7 +161,7 @@ def _run_one_trial(
     mind = g.min_degree()
     conn = is_connected(g)
     violations: list[str] = []
-    if outcome:
+    if outcome and g.n > 1:  # one node is connected and robust at degree 0
         if prop.kind == K_CONNECTED and mind < prop.k:
             violations.append("k_connected_implies_min_degree")
         elif prop.kind == HAMILTON_CYCLE:

@@ -12,14 +12,20 @@
 
 k-connectivity uses dedicated linear-time procedures for k=1 (search) and
 k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
-all run on one split digraph built once per decision. The exponential
-checkers raise ``BudgetExceeded`` past their limits: Hamilton's search
-past :class:`DecisionBudget`, both checkers past a fixed node count.
+all run on one split digraph built once per decision. k-robustness is
+settled by exact stages (components, k = 1, minimum degree) and otherwise
+by one exact feasibility MILP whose solution, when there is one, is
+checked as a failing subset. The exponential checkers raise
+``BudgetExceeded`` instead of guessing: Hamilton's past its
+:class:`DecisionBudget` search and its subset-DP node cap, robustness past
+a fixed number of branch-and-bound nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import hamilton as _hamilton
 from .errors import BudgetExceeded, ParameterError
@@ -96,7 +102,7 @@ class DecisionBudget:
 
 DEFAULT_BUDGET = DecisionBudget()
 
-_ROBUST_MAX_NODES = 24  # the Gray walk visits 2**(n-1) subsets
+_MILP_NODE_LIMIT = 10_000  # branch-and-bound nodes of one robustness MILP
 
 
 # -- k-connectivity ----------------------------------------------------------
@@ -244,69 +250,55 @@ def has_hamilton_cycle(g: Graph, budget: DecisionBudget = DEFAULT_BUDGET) -> boo
 
 
 def k_robust_witness(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Sorted nodes of the first failing subset T in Gray-code order, or
-    None if k-robust.
+    """Sorted nodes of a failing subset T, or None if k-robust.
 
-    Only subsets containing node 0 are enumerated: the defining condition
-    is symmetric under T <-> complement, which halves the work. Cross
-    degrees are maintained incrementally along the Gray walk.
+    Exact stages first: one node is vacuously robust, a disconnected graph
+    fails on its smallest block, a connected one is 1-robust (every cut
+    has a crossing edge), a node of degree < k fails alone. Otherwise one
+    feasibility MILP (Usevitch & Panagou, Automatica 111, 2020) over binary
+    x_v = [v in T] asks for |deg(v) x_v - sum_{w in N(v)} x_w| <= k-1 at
+    every node (a node of T has at most k-1 neighbors outside it, a node
+    outside at most k-1 inside) and 1 <= sum x <= n-1. A solution, checked
+    against the definition, is the witness; infeasible means k-robust.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
     n = g.n
     if n == 1:
         return None  # no non-empty strict subset exists
-    if n > _ROBUST_MAX_NODES:
-        raise BudgetExceeded(
-            f"robustness enumeration at n={n} exceeds the cap {_ROBUST_MAX_NODES}"
-        )
     blocks = connected_components(g)
     if len(blocks) > 1:
         return tuple(min(blocks, key=len))
-    if k >= 2:
-        degs = g.degrees()
-        v = int(degs.argmin())
-        if int(degs[v]) < k:
-            return (v,)
+    if k == 1:
+        return None
+    degs = g.degrees()
+    v = int(degs.argmin())
+    if int(degs[v]) < k:
+        return (v,)
+    from scipy.optimize import Bounds, LinearConstraint, milp  # slows `import riglab`
+    from scipy.sparse import coo_array
+
+    tails, heads = np.divmod(g.edge_keys(), n)
+    diag = np.arange(n)
+    laplacian = coo_array((np.concatenate([-np.ones(2 * g.m), degs]),
+                           (np.concatenate([tails, heads, diag]),
+                            np.concatenate([heads, tails, diag]))))
+    lower = np.zeros(n)
+    lower[0] = 1  # the condition is symmetric under T <-> complement
+    res = milp(np.zeros(n), integrality=np.ones(n), bounds=Bounds(lower, 1),
+               constraints=[LinearConstraint(laplacian.tocsr(), 1 - k, k - 1),
+                            LinearConstraint(np.ones((1, n)), 1, n - 1)],
+               options={"node_limit": _MILP_NODE_LIMIT})
+    if res.status == 2:  # infeasible
+        return None
+    if res.status != 0:
+        raise BudgetExceeded(f"robustness MILP at n={n}, k={k} undecided within "
+                             f"{_MILP_NODE_LIMIT} branch-and-bound nodes: {res.message}")
+    in_t = (res.x > 0.5).tolist()
     adj = g.adjacency_lists()
-    deg = [len(a) for a in adj]
-    in_t = [False] * n
-    in_t[0] = True
-    cnt_in = [0] * n  # neighbors inside T, per node
-    for w in adj[0]:
-        cnt_in[w] = 1
-    sat = [False] * n
-    satisfied = 0
-
-    def refresh(v: int) -> None:
-        nonlocal satisfied
-        ok = (deg[v] - cnt_in[v] >= k) if in_t[v] else (cnt_in[v] >= k)
-        if ok != sat[v]:
-            sat[v] = ok
-            satisfied += 1 if ok else -1
-
-    for v in range(n):
-        refresh(v)
-    full_rest = (1 << (n - 1)) - 1
-    gray = 0
-    if satisfied == 0:
-        return (0,)
-    i = 1
-    while i <= full_rest:
-        bit = (i & -i).bit_length() - 1
-        gray ^= 1 << bit
-        u = bit + 1
-        entering = not in_t[u]
-        in_t[u] = entering
-        delta = 1 if entering else -1
-        for w in adj[u]:
-            cnt_in[w] += delta
-            refresh(w)
-        refresh(u)
-        if gray != full_rest and satisfied == 0:
-            return tuple(v for v in range(n) if in_t[v])
-        i += 1
-    return None
+    if all(in_t) or any(sum(in_t[w] != in_t[v] for w in adj[v]) >= k for v in range(n)):
+        raise RuntimeError(f"robustness MILP at n={n}, k={k} returned a non-witness")
+    return tuple(v for v in range(n) if in_t[v])
 
 
 def is_k_robust(g: Graph, k: int) -> bool:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ParameterError
-from .graphs import Graph
+from riglab.errors import ParameterError
+from riglab.graphs import Graph
 
 _KCONN_CAP = 10
 _HAMILTON_CAP = 10
@@ -25,6 +25,8 @@ def oracle_k_connected(g: Graph, k: int) -> bool:
         raise ParameterError(f"oracle limited to n <= {_KCONN_CAP}")
     if k < 1:
         raise ParameterError("k must be >= 1")
+    if n == 1:
+        return k == 1  # a single node is connected, and no more
     if g.is_complete():
         return k <= n - 1
     if k > n - 1:

@@ -49,3 +49,45 @@ class TestSummarise:
         s = bench_pairs.summarise(runs, BETTER)
         assert s["pairs"] == 1
         assert s["metrics"]["trials_per_s"]["parent_median"] == 3.0
+
+    def test_quartiles_per_side(self):
+        runs = [
+            _run(0, "parent", 3.0, 137.0), _run(0, "change", 9.0, 83.0),
+            _run(1, "change", 8.0, 84.0), _run(1, "parent", 3.2, 136.0),
+            _run(2, "parent", 3.1, 80.0), _run(2, "change", 2.0, 90.0),
+        ]
+        tps = bench_pairs.summarise(runs, BETTER)["metrics"]["trials_per_s"]
+        assert (tps["parent_q1"], tps["parent_q3"]) == pytest.approx((3.05, 3.15))
+        assert (tps["change_q1"], tps["change_q3"]) == pytest.approx((5.0, 8.5))
+
+
+def _pairs(parent, change):
+    """One pair per (parent, change) value of both metrics."""
+    return [run for i, (p, c) in enumerate(zip(parent, change))
+            for run in (_run(i, "parent", p, p), _run(i, "change", c, c))]
+
+
+class TestGainRule:
+    PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # Q1 9.925, Q3 10.1
+
+    def _met(self, change, parent=PARENT):
+        metrics = bench_pairs.summarise(_pairs(parent, change), BETTER)["metrics"]
+        return metrics["trials_per_s"]["gain_rule_met"], metrics["peak_rss_mb"]["gain_rule_met"]
+
+    def test_nine_of_ten_wins_and_a_wide_gap(self):
+        change = [11.0] * 9 + [9.0]
+        assert self._met(change) == (True, False)  # lower is better for the RSS
+
+    def test_eight_of_ten_wins_is_not_enough(self):
+        assert self._met([11.0] * 8 + [9.0] * 2) == (False, False)
+
+    def test_gap_within_the_parent_quartiles(self):
+        # better in every pair, but the medians differ by 0.12 < 0.175
+        change = [p + 0.12 for p in self.PARENT]
+        assert self._met(change) == (False, False)
+
+    def test_lower_is_better(self):
+        assert self._met([9.0] * 10) == (False, True)
+
+    def test_fewer_than_ten_pairs(self):
+        assert self._met([11.0] * 9, parent=self.PARENT[:9]) == (False, False)

@@ -253,8 +253,10 @@ class TestCheck:
         (Graph.cycle(6), ["--property", "hamilton"], "true"),
         (Graph.path(5), ["--property", "hamilton"], "false"),
         (Graph.complete(4), ["--property", "robust", "--k", "2"], "true"),
+        (Graph.cycle(30), ["--property", "robust", "--k", "1"], "true"),
     ], ids=["c6-kconn2", "c6-kconn3", "two_pairs-kconn1", "c6-mindeg2", "p5-mindeg2",
-            "p5-matching", "star-matching", "c6-hamilton", "p5-hamilton", "k4-robust2"])
+            "p5-matching", "star-matching", "c6-hamilton", "p5-hamilton", "k4-robust2",
+            "c30-robust1"])
     def test_verdict(self, tmp_path, capsys, graph, flags, expected):
         assert cli.main(["check", _edge_list(tmp_path, graph), *flags]) == 0
         assert capsys.readouterr().out == expected + "\n"
@@ -345,7 +347,8 @@ class TestGeometricRegionDefault:
 
 def test_import_leaves_scipy_unloaded():
     code = ("import riglab, sys; "
-            "print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.special') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"

@@ -56,3 +56,15 @@ def test_pool_never_larger_than_its_batches(monkeypatch):
     assert _SerialPool.sizes == [4]
     assert montecarlo.records_to_csv(pooled.records) == montecarlo.records_to_csv(serial.records)
     assert pooled.summary == serial.summary
+
+
+@pytest.mark.parametrize("prop", [
+    PropertyKind.k_connected(1), PropertyKind.k_robust(1), PropertyKind.k_robust(3),
+], ids=PropertyKind.label)
+def test_single_node_trials_pass_the_audit(prop):
+    # One node is connected and vacuously robust with degree 0, so no
+    # implication through the minimum degree applies to it.
+    cfg = ExperimentConfig(model=ErParams(1, 0.5), prop=prop, trials=3, seed=1)
+    summary = run_experiment(cfg).summary
+    assert summary.successes == 3
+    assert sum(summary.audit_violations.values()) == 0

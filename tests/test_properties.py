@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +9,6 @@ from riglab.errors import BudgetExceeded, ParameterError
 from riglab.graphs import Graph
 from riglab.matching import maximum_matching
 from riglab.models import ErParams, sample_er
-from riglab.oracles import (
-    oracle_hamilton,
-    oracle_k_connected,
-    oracle_k_robust,
-    oracle_max_matching,
-    oracle_near_perfect_matching,
-)
 from riglab.properties import (
     DecisionBudget,
     PropertyKind,
@@ -29,6 +23,16 @@ from riglab.properties import (
 from riglab.rng import RngStream
 
 from conftest import assert_violates_robustness, random_small_graphs
+from oracles import (
+    oracle_hamilton,
+    oracle_k_connected,
+    oracle_k_robust,
+    oracle_max_matching,
+    oracle_near_perfect_matching,
+)
+
+# Every graph on one or two nodes.
+TINY_GRAPHS = [Graph.empty(1), Graph.empty(2), Graph.complete(2)]
 
 
 def pendant_rich_graph(seed, i, n_core, max_paths, max_len):
@@ -84,7 +88,7 @@ class TestKConnected:
         assert not is_k_connected(g, 5)
 
     def test_agrees_with_oracle(self):
-        for g in random_small_graphs(150, seed=101):
+        for g in TINY_GRAPHS + random_small_graphs(150, seed=101):
             for k in (1, 2, 3, 4):
                 assert is_k_connected(g, k) == oracle_k_connected(g, k), (g, k)
 
@@ -155,7 +159,7 @@ class TestMatching:
 
     def test_agrees_with_oracle(self):
         pendant = [pendant_rich_graph(303, i, 2 + i % 6, 2, 2) for i in range(200)]
-        for g in random_small_graphs(200, seed=202) + pendant:
+        for g in TINY_GRAPHS + random_small_graphs(200, seed=202) + pendant:
             assert max_matching_size(g) == oracle_max_matching(g)
             assert has_near_perfect_matching(g) == oracle_near_perfect_matching(g)
 
@@ -198,7 +202,7 @@ class TestHamilton:
         assert not has_hamilton_cycle(g)
 
     def test_agrees_with_oracle(self):
-        for g in random_small_graphs(150, seed=303):
+        for g in TINY_GRAPHS + random_small_graphs(150, seed=303):
             assert has_hamilton_cycle(g) == oracle_hamilton(g)
 
     def test_staged_agrees_with_dp(self, monkeypatch):
@@ -309,14 +313,53 @@ class TestKRobust:
     def test_single_node_vacuous(self):
         assert is_k_robust(Graph.empty(1), 1)
 
-    def test_budget_cap(self):
-        with pytest.raises(BudgetExceeded):
-            is_k_robust(Graph.cycle(30), 1)
+    def test_cycle_past_enumeration_sizes(self):
+        c30 = Graph.cycle(30)
+        assert is_k_robust(c30, 1)
+        assert not is_k_robust(c30, 2)
+        assert_violates_robustness(c30, 2, k_robust_witness(c30, 2))
+
+    def test_complete_graph_at_its_robustness(self):
+        k24 = Graph.complete(24)
+        assert is_k_robust(k24, 2)
+        assert is_k_robust(k24, 12)
+        assert not is_k_robust(k24, 13)  # T = 12 nodes: 12 neighbors across
+        assert_violates_robustness(k24, 13, k_robust_witness(k24, 13))
+
+    def test_node_limit_raises(self, monkeypatch):
+        # ER(12) near the 3-robustness threshold: k-robust, but the MILP
+        # needs more than its root node to prove it
+        from riglab import properties
+
+        q = (math.log(12) + 2 * math.log(math.log(12)) + 1) / 12
+        g = sample_er(ErParams(12, q), RngStream(2, 0))
+        assert g.min_degree() >= 3
+        monkeypatch.setattr(properties, "_MILP_NODE_LIMIT", 1)
+        with pytest.raises(BudgetExceeded, match=r"n=12, k=3 .* 1 branch-and-bound"):
+            is_k_robust(g, 3)
+        monkeypatch.undo()
+        assert is_k_robust(g, 3) and oracle_k_robust(g, 3)
+
+    @pytest.mark.parametrize("x", [[1, 0, 1, 0, 1, 0], [1] * 6], ids=["crossing", "all"])
+    def test_solution_that_is_no_witness_raises(self, monkeypatch, x):
+        import scipy.optimize
+
+        solved = SimpleNamespace(status=0, x=np.array(x, dtype=float))
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: solved)
+        with pytest.raises(RuntimeError, match="non-witness"):
+            k_robust_witness(Graph.cycle(6), 2)
 
     def test_agrees_with_oracle(self):
-        for g in random_small_graphs(120, seed=505, n_hi=9):
-            for k in (1, 2):
-                assert is_k_robust(g, k) == oracle_k_robust(g, k), (g, k)
+        # 4 x 150 graphs, n = 4..12, at k = 1..3: 1,800 cases, plus the tiny ones
+        graphs = TINY_GRAPHS + [
+            g for seed in (505, 606, 707, 808) for g in random_small_graphs(150, seed, n_hi=12)
+        ]
+        for g in graphs:
+            for k in (1, 2, 3):
+                witness = k_robust_witness(g, k)
+                assert (witness is None) == oracle_k_robust(g, k), (g, k)
+                if witness is not None:
+                    assert_violates_robustness(g, k, witness)
 
     def test_one_robust_iff_connected(self):
         from riglab.graphs import is_connected
