@@ -424,3 +424,10 @@ class TestStreamFingerprints:
         assert _sha(big.edge_keys()) == "b0e43d886c964575"
         rows = np.concatenate([big.neighbors(u) for u in range(big.n)])
         assert _sha(rows) == "39c1eba3095bd6f1"
+
+    def test_sparse_er_edge_keys(self):
+        # about 20 edges of 19,900 slots: m(m - 1) <= 2N, so the slots are few
+        # enough for a ring sampler to draw them, yet ER keeps its own draws
+        keys = [sample_er(ErParams(200, 0.001), RngStream(9, i)).edge_keys() for i in range(20)]
+        assert sum(k.size for k in keys) == 414
+        assert _sha(np.concatenate(keys)) == "c48eed6a4bc192b0"
