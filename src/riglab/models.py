@@ -23,8 +23,13 @@ Rings and edges stay in flat NumPy arrays from the draw to the
 ``(offsets, items)``, and ``build_rig`` reads those arrays directly. The
 samplers build the arrays themselves; only hand-made rings, entering
 through :meth:`ItemAssignment.from_rings`, are validated. One sampler of
-uniform subsets, ``_distinct_rows``, draws every ring of an assignment and
-the edge slots of ``G(n, q)``, all rows of one call in batched NumPy draws.
+uniform subsets, ``_distinct_rows``, draws every ring of an assignment, all
+rows of one call in batched NumPy draws, by three exact methods chosen per
+ring of K items from a pool of P: the head of a permutation when 4K >= P,
+whole-row rejection when K(K - 1) <= 2P, and rounds of i.i.d. draws kept
+until K are distinct otherwise. The edge slots of ``G(n, q)`` take the
+permutation or the rounds as before, never rejection, so its stream stays
+as it was.
 """
 
 from __future__ import annotations
@@ -167,23 +172,64 @@ class ItemAssignment:
 
 
 def _distinct_rows(gen: np.random.Generator, N: int, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(offsets, values)``: row r is a sorted uniform ``sizes[r]``-subset
-    of ``range(N)``. A row with ``4 * size >= N`` is the head of a permutation
-    (drawn first, in row order); every other row is the first ``size`` distinct
-    values of i.i.d. uniform draws, made in rounds of ``deficit + deficit // 16
-    + 16`` per row with one ``gen.integers`` call for all rows. Rows are told
-    apart by the key ``row * N + value``, so ``len(sizes) * N`` must be < 2**63.
+    """CSR ``(offsets, values)``: row r is a sorted uniform ``K = sizes[r]``
+    subset of ``range(N)``, by one of three exact methods, drawn in this order:
+
+    * a row with ``4 * K >= N`` is the head of its own ``gen.permutation(N)``,
+      in row order;
+    * every other row with ``K * (K - 1) <= 2 * N`` is drawn whole and
+      rejected if it repeats a value (:func:`_whole_rows`), all such rows in
+      one matrix; a row is accepted with probability above 1/3;
+    * the rest, too wide to be accepted often, take rounds of i.i.d. draws
+      (:func:`_draw_rounds`), which tell rows apart by the key
+      ``row * N + value``; so ``len(sizes) * N`` must be < 2**63.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(sizes) * N >= 2**63:
         raise ParameterError(f"{len(sizes)} rows of range({N}) pass the 2**63 key limit")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     values = np.empty(int(offsets[-1]), dtype=np.int64)
-    full = (sizes > 0) & (4 * sizes >= N)
-    short = (sizes > 0) & ~full
-    for r in np.flatnonzero(full):
+    head = 4 * sizes >= N
+    # In floats: K * K overflows int64 for pools near 2**63.
+    whole = ~head & (sizes > 0) & (sizes * (sizes - 1.0) <= 2.0 * N)
+    for r in np.flatnonzero(head):
         values[offsets[r]:offsets[r + 1]] = np.sort(gen.permutation(N)[:sizes[r]])
-    rows = np.flatnonzero(short)
+    for rows, draw in ((whole, _whole_rows), (~head & ~whole, _draw_rounds)):
+        if rows.any():
+            values[np.repeat(rows, sizes)] = draw(gen, N, sizes[rows])
+    return offsets, values
+
+
+def _whole_rows(gen: np.random.Generator, N: int, sizes: np.ndarray) -> np.ndarray:
+    """Sorted uniform ``sizes[r]``-subsets of ``range(N)``, concatenated.
+
+    Every row is drawn as ``sizes[r]`` i.i.d. values and kept only if they are
+    all distinct; given that, each ordered tuple of distinct values is equally
+    likely. All rows are one ``(rows, width)`` matrix from ``gen.integers``;
+    a short row's padding cells hold the sentinels ``N + column``, which are
+    distinct and sort last. Rejected rows are redrawn together, at the same
+    width, until none is left.
+    """
+    width = int(sizes.max())
+    pad = np.arange(width) >= sizes[:, None]
+    rows = np.empty(pad.shape, dtype=np.int64)
+    todo = np.arange(sizes.size)
+    while todo.size:
+        draw = gen.integers(0, N, size=(todo.size, width))
+        np.copyto(draw, N + np.arange(width), where=pad[todo])
+        draw.sort(axis=1)
+        rows[todo] = draw
+        todo = todo[(draw[:, 1:] == draw[:, :-1]).any(axis=1)]
+    return rows[~pad]
+
+
+def _draw_rounds(gen: np.random.Generator, N: int, sizes: np.ndarray) -> np.ndarray:
+    """Sorted uniform ``sizes[r]``-subsets of ``range(N)``, concatenated: each
+    row keeps the first ``sizes[r]`` distinct values of i.i.d. draws, made in
+    rounds of ``deficit + deficit // 16 + 16`` per row with one
+    ``gen.integers`` call for all rows. Empty rows draw nothing.
+    """
+    rows = np.flatnonzero(sizes)
     need, picked = sizes[rows], np.empty(0, dtype=np.int64)  # accepted keys, ascending
     while rows.size:
         draws = need + need // 16 + 16
@@ -204,8 +250,7 @@ def _distinct_rows(gen: np.random.Generator, N: int, sizes) -> tuple[np.ndarray,
         picked = ranked[starts][keep]
         need -= np.minimum(np.diff(seen[bounds]), need)
         rows, need = rows[need > 0], need[need > 0]
-    values[np.repeat(short, sizes)] = picked % N
-    return offsets, values
+    return picked % N
 
 
 def sample_uniform_assignment(p: UniformRigParams, rng: RngStream) -> ItemAssignment:
@@ -293,7 +338,13 @@ def sample_er(p: ErParams, rng: RngStream) -> Graph:
     """
     gen = rng.generator()
     total = p.n * (p.n - 1) // 2
-    _, idx = _distinct_rows(gen, total, [gen.binomial(total, p.q)])
+    m = gen.binomial(total, p.q)
+    # The two methods of ``_distinct_rows`` that G(n, q) always used: a
+    # sparse G(n, q) skips row rejection and keeps its stream.
+    if 4 * m >= total:
+        idx = np.sort(gen.permutation(total)[:m])
+    else:
+        idx = _draw_rounds(gen, total, np.array([m]))
     # Decode the triangular index exactly: row u (pairs (u, v), v > u)
     # starts at u * (2n - u - 1) / 2.
     rows = np.arange(p.n, dtype=np.int64)

@@ -135,7 +135,15 @@ def _reference_rows(gen, N, sizes):
     for r, k in enumerate(sizes):
         if k and 4 * k >= N:
             rows[r] = set(gen.permutation(N)[:k].tolist())
-    short = [r for r, k in enumerate(sizes) if k and 4 * k < N]
+    whole = [r for r, k in enumerate(sizes) if k and 4 * k < N and k * (k - 1) <= 2 * N]
+    width = max((sizes[r] for r in whole), default=0)
+    while whole:
+        matrix = gen.integers(0, N, size=(len(whole), width)).tolist()
+        for r, row in zip(whole, matrix):
+            if len(set(row[:sizes[r]])) == sizes[r]:  # the padding cells are not looked at
+                rows[r] = set(row[:sizes[r]])
+        whole = [r for r in whole if not rows[r]]
+    short = [r for r, k in enumerate(sizes) if k and 4 * k < N and k * (k - 1) > 2 * N]
     while active := [r for r in short if len(rows[r]) < sizes[r]]:
         draws = [sizes[r] - len(rows[r]) for r in active]
         draws = [d + d // 16 + 16 for d in draws]
@@ -153,10 +161,11 @@ class TestDistinctRows:
     def _split(offsets, values):
         return [values[offsets[r]:offsets[r + 1]].tolist() for r in range(len(offsets) - 1)]
 
-    @pytest.mark.parametrize("P, K, rows", [(40, 3, 200_000), (6, 3, 20_000)],
+    @pytest.mark.parametrize("P, K, rows", [(20, 4, 100_000), (6, 3, 20_000)],
                              ids=["rejection", "permutation"])
     def test_subsets_uniform(self, P, K, rows):
-        # chi-squared over all C(P, K) subsets, every row from one call
+        # chi-squared over all C(P, K) subsets, every row from one call; at
+        # P = 20, K = 4 about 27% of the whole rows are rejected and redrawn
         offsets, values = _distinct_rows(np.random.default_rng(P), P, np.full(rows, K))
         assert offsets.tolist() == list(range(0, K * rows + 1, K))
         ranked = values.reshape(rows, K)
@@ -169,22 +178,44 @@ class TestDistinctRows:
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.999, cells - 1)
 
-    def test_ragged_rows_mix_both_branches(self):
+    @pytest.mark.parametrize("rank", [0, 6, 13])
+    def test_rounds_order_statistics(self, rank):
+        # P = 60, K = 14 is too wide for rejection and too narrow for the
+        # permutation; the rank-th smallest item of a uniform K-subset is j
+        # with probability C(j, rank) C(P - 1 - j, K - 1 - rank) / C(P, K)
+        P, K, rows = 60, 14, 40_000
+        assert 4 * K < P < K * (K - 1) / 2
+        values = _distinct_rows(np.random.default_rng(rank), P, np.full(rows, K))[1]
+        counts = np.bincount(values.reshape(rows, K)[:, rank], minlength=P)
+        law = np.array([math.comb(j, rank) * math.comb(P - 1 - j, K - 1 - rank)
+                        for j in range(P)]) / math.comb(P, K)
+        cells = law * rows >= 5  # the sparse tails pooled into one cell
+        observed = np.append(counts[cells], counts[~cells].sum())
+        expected = np.append(law[cells], law[~cells].sum()) * rows
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_ragged_rows_mix_all_branches(self):
         gen = np.random.default_rng(3)
-        sizes = gen.binomial(400, 0.25, size=300)
-        assert (4 * sizes >= 400).any() and (4 * sizes < 400).any()
+        # sizes near 100 take the permutation head, up to 28 whole-row
+        # rejection (28 * 27 <= 800) and 29 to 99 the rounds
+        sizes = np.concatenate([gen.binomial(400, 0.25, size=300), gen.integers(0, 60, size=300)])
+        gen.shuffle(sizes)
+        head = 4 * sizes >= 400
+        whole = (sizes > 0) & ~head & (sizes * (sizes - 1) <= 800)
+        assert head.any() and whole.any() and (~head & ~whole & (sizes > 0)).any()
         offsets, values = _distinct_rows(gen, 400, sizes)
         assert np.diff(offsets).tolist() == sizes.tolist()
+        assert values.size == sizes.sum() and ((0 <= values) & (values < 400)).all()
         for row in self._split(offsets, values):
-            assert all(0 <= a < b < 400 for a, b in zip(row, row[1:]))
-            assert all(0 <= x < 400 for x in row)
+            assert all(a < b for a, b in zip(row, row[1:]))
 
     @pytest.mark.parametrize("N, sizes", [
         (4000, [999, 998, 500, 3, 0, 1200]),  # rows that need a second round
-        (40, [9] * 50),
+        (40, [9] * 50),  # whole rows, about 6 in 10 rejected
         (6, [0, 1, 2, 3, 6]),
         (10**6, [249_999]),
         (1, [0, 1]),
+        (1000, [5, 40, 12, 0, 44, 46, 300]),  # ragged whole rows next to the other two
     ])
     def test_matches_the_loop_rule(self, N, sizes):
         a, b = np.random.default_rng(9), np.random.default_rng(9)
