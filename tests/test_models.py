@@ -417,16 +417,16 @@ class TestStreamFingerprints:
     def test_uniform_assignment(self):
         p = UniformRigParams(5, 3, 20)
         assert _rings(sample_uniform_assignment(p, RngStream(3))) == [
-            [0, 8, 10], [4, 9, 17], [8, 10, 16], [0, 1, 17], [1, 5, 7]]
+            [0, 8, 10], [7, 13, 15], [0, 9, 12], [0, 3, 7], [2, 4, 13]]
         assert _rings(sample_uniform_assignment(p, RngStream(4))) == [
-            [2, 12, 18], [0, 3, 13], [0, 14, 17], [3, 4, 12], [2, 9, 10]]
+            [2, 12, 18], [6, 7, 18], [0, 2, 17], [3, 15, 19], [2, 12, 17]]
         a = sample_uniform_assignment(UniformRigParams(400, 30, 5000), RngStream(5))
-        assert _sha([x for r in _rings(a) for x in r]) == "ec931ffca4c344f1"
+        assert _sha([x for r in _rings(a) for x in r]) == "40217aa8ee6ae3c7"
 
     def test_binomial_assignment(self):
         p = BinomialRigParams(5, 0.3, 12)
         assert _rings(sample_binomial_assignment(p, RngStream(3))) == [
-            [9], [0, 3, 6, 10], [1, 2, 3], [3, 4, 7, 11], [2, 8]]
+            [9], [0, 3, 6, 10], [1, 2, 3], [3, 4, 7, 11], [6, 10]]
         assert _rings(sample_binomial_assignment(p, RngStream(4))) == [
             [0, 3, 4, 7], [1, 4, 9], [0, 2, 3], [1, 6], [0, 1, 3, 4, 5, 7, 9]]
 
@@ -443,7 +443,7 @@ class TestStreamFingerprints:
             131]
         spec = IntersectionSpec((UniformRigParams(200, 8, 1000), RggParams(200, 0.2, "square")))
         keys = [sample_model(spec, RngStream(7, i)).edge_keys() for i in range(20)]
-        assert _sha(np.concatenate(keys)) == "9294e42efcd53e82"
+        assert _sha(np.concatenate(keys)) == "020c470c099130fe"
 
     def test_graph_neighbor_rows(self):
         g = sample_er(ErParams(8, 0.4), RngStream(9))
