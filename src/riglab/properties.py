@@ -292,8 +292,13 @@ def k_robust_witness(g: Graph, k: int) -> tuple[int, ...] | None:
     if res.status == 2:  # infeasible
         return None
     if res.status != 0:
-        raise BudgetExceeded(f"robustness MILP at n={n}, k={k} undecided within "
-                             f"{_MILP_NODE_LIMIT} branch-and-bound nodes: {res.message}")
+        # HiGHS stops at the node limit with "Solution limit reached", which
+        # scipy reports as status 4, as it does unknown failures, and without
+        # a node count; so the model status in the message tells them apart.
+        if "model_status is Solution limit reached" in res.message:
+            raise BudgetExceeded(f"robustness MILP at n={n}, k={k} undecided within "
+                                 f"{_MILP_NODE_LIMIT} branch-and-bound nodes: {res.message}")
+        raise RuntimeError(f"robustness MILP at n={n}, k={k} failed: {res.message}")
     in_t = (res.x > 0.5).tolist()
     adj = g.adjacency_lists()
     if all(in_t) or any(sum(in_t[w] != in_t[v] for w in adj[v]) >= k for v in range(n)):

@@ -340,6 +340,22 @@ class TestKRobust:
         monkeypatch.undo()
         assert is_k_robust(g, 3) and oracle_k_robust(g, 3)
 
+    # The messages of scipy 1.17's milp for a HiGHS node-limit stop and a solve error
+    @pytest.mark.parametrize("message, error, match", [
+        ("The HiGHS status code was not recognized. (HiGHS Status 16: model_status is "
+         "Solution limit reached; primal_status is None)", BudgetExceeded,
+         r"n=6, k=2 undecided within 10000 branch-and-bound nodes"),
+        ("(HiGHS Status 4: model_status is Solve error; primal_status is None)",
+         RuntimeError, r"n=6, k=2 failed: .*Solve error"),
+    ], ids=["node-limit", "solve-error"])
+    def test_failed_solve_raises(self, monkeypatch, message, error, match):
+        import scipy.optimize
+
+        stopped = SimpleNamespace(status=4, x=None, message=message, mip_node_count=None)
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: stopped)
+        with pytest.raises(error, match=match):
+            k_robust_witness(Graph.cycle(6), 2)
+
     @pytest.mark.parametrize("x", [[1, 0, 1, 0, 1, 0], [1] * 6], ids=["crossing", "all"])
     def test_solution_that_is_no_witness_raises(self, monkeypatch, x):
         import scipy.optimize
