@@ -17,9 +17,11 @@ median and quartiles of each metric, the number of pairs in which the
 change was better, the direction of "better" being read from the change's
 ``BENCHMARK.json``, and whether that meets the gain rule: at least ten
 pairs, the change better in at least nine tenths of them, and the medians
-further apart than the parent's quartiles. A workload already in the
-output file is replaced; the others are kept, so several workloads share
-one file.
+further apart than the parent's quartiles. Each workload also records
+the commit checked out on each side (``git rev-parse HEAD``) and whether
+its tree had uncommitted changes (``git status --porcelain``) when the runs
+began. A workload already in the output file is replaced; the others are
+kept, so several workloads share one file.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The commit checked out in ``checkout`` and whether its tree differs from it."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"git {' '.join(args)} in {checkout} exited "
+                               f"{proc.returncode}:\n{proc.stderr}")
+        return proc.stdout
+
+    return {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain"))}
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
@@ -98,6 +112,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
+    checkouts = {"parent": checkout_state(args.parent), "change": checkout_state(args.change)}
     runs = []
     for pair in range(args.pairs):
         seed = args.first_seed + pair
@@ -116,6 +131,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "first_seed": args.first_seed,
+        "checkouts": checkouts,
         "summary": summarise(runs, better),
         "runs": runs,
     }

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,53 @@ class TestGainRule:
 
     def test_fewer_than_ten_pairs(self):
         assert self._met([11.0] * 9, parent=self.PARENT[:9]) == (False, False)
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def _repo(path, text):
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(text)
+    _git(path, "init", "-q")
+    _git(path, "add", "-A")
+    _git(path, "commit", "-q", "-m", "c")
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+class TestCheckouts:
+    BENCH = json.dumps({"run_seconds": 15, "end_to_end": [
+        {"name": "trials_per_s", "better": "higher"}]})
+
+    def test_commit_and_dirty_tree(self, tmp_path):
+        head = _repo(tmp_path / "r", self.BENCH)
+        assert bench_pairs.checkout_state(tmp_path / "r") == {"commit": head, "dirty": False}
+        (tmp_path / "r" / "untracked").write_text("x")
+        assert bench_pairs.checkout_state(tmp_path / "r") == {"commit": head, "dirty": True}
+
+    def test_not_a_checkout(self, tmp_path):
+        with pytest.raises(RuntimeError, match="rev-parse"):
+            bench_pairs.checkout_state(tmp_path)
+
+    def test_output_names_both_checkouts(self, tmp_path, monkeypatch):
+        parent_head = _repo(tmp_path / "parent", self.BENCH)
+        change_head = _repo(tmp_path / "change", self.BENCH)
+        (tmp_path / "change" / "BENCHMARK.json").write_text(self.BENCH + "\n")
+        calls = []
+
+        def fake_run(checkout, workload, seed, seconds):
+            calls.append((checkout.name, seed))
+            return {"correct": True, "failed": 0, "metrics": {"trials_per_s": {"value": 1.0}}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+        out = tmp_path / "BENCH_t.json"
+        assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                                 str(tmp_path / "change"), "--workload", "w", "--pairs", "2",
+                                 "--out", str(out)]) == 0
+        assert calls == [("parent", 41), ("change", 41), ("change", 42), ("parent", 42)]
+        entry = json.loads(out.read_text())["workloads"]["w"]
+        assert entry["checkouts"] == {"parent": {"commit": parent_head, "dirty": False},
+                                      "change": {"commit": change_head, "dirty": True}}
