@@ -225,6 +225,20 @@ class TestHamilton:
             checked += 1
         assert checked >= 60  # the search should rarely be inconclusive
 
+    @pytest.mark.parametrize("seed, left", [(0, 197_445), (1, 196_678), (5, 197_318)])
+    def test_search_path_pinned(self, seed, left):
+        # ER at n=2000, deviation +3: the steps the rotation search leaves
+        # of its budget fix the path it took, so a rewrite of its data
+        # structures must leave them unchanged
+        from riglab.hamilton import _rotation_extension
+
+        n = 2000
+        q = (math.log(n) + math.log(math.log(n)) + 3.0) / n
+        g = sample_er(ErParams(n, q), RngStream(seed, 0))
+        budget = [200_000]
+        assert _rotation_extension(g.adjacency_lists(), n, budget)
+        assert budget[0] == left
+
     def test_default_budget_decides_near_threshold(self):
         # ER at n=24, deviation +4: a subset DP run first exceeds its state
         # limit on most of these graphs; certificates and search settle them
