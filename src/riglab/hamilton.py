@@ -3,20 +3,24 @@
 One pipeline decides every graph, cheapest stage first, and only ever
 returns certified answers:
 
-1. certified False: not biconnected (fewer than 3 nodes, minimum degree
-   < 2, disconnected, or a cut vertex),
+1. certified False: fewer than 3 nodes, minimum degree < 2, or
+   disconnected,
 2. certified True: the Dirac bound (minimum degree >= n/2),
 3. forced edges around degree-2 nodes: False when a node needs 3 cycle
    edges or they close a subcycle, True when they form a spanning cycle,
 4. certified True: rotation-extension search, within ``search_steps``,
-   produces an explicit cycle,
-5. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
+   produces an explicit cycle, kept on the graph as
+   ``g._cache["hamilton_cycle"]`` for :func:`is_hamilton_cycle` to audit,
+5. only after a failed search, certified False: a cut vertex,
+6. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
    subset dynamic programming over (visited-set, endpoint) states decide
    exactly; above it the pipeline raises ``BudgetExceeded`` - never a guess.
 
 Near the sharp thresholds where the experiments run, almost every
-non-Hamiltonian sample is caught by the local certificates and almost
-every Hamiltonian sample yields to rotation-extension quickly.
+non-Hamiltonian sample is caught by the first and third stages and almost
+every Hamiltonian sample yields to rotation-extension quickly, whose
+cycle certifies 2-connectivity, so the cut-vertex search runs only when
+the search fails.
 """
 
 from __future__ import annotations
@@ -183,23 +187,42 @@ def _hamilton_dp(g: Graph) -> bool:
     return bool(frontier.get(full, 0) & masks[0])
 
 
-def _rotation_extension(adj: list[list[int]], n: int, budget: list[int]) -> bool:
-    """Deterministic Posa-style search; True only with an explicit cycle."""
-    deg = [len(a) for a in adj]
+def _degree_order(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """The nodes, and each node's neighbours, sorted by (degree, id)."""
+    n = g.n
+    deg = g.degrees()
+    # Heads are sorted within each CSR row, so one stable sort keyed by
+    # (row, head degree) breaks degree ties by id.
+    key = np.repeat(np.arange(n, dtype=np.int64) * n, deg)
+    key += deg[g._nbr]
+    # Lists taken from an object array share one int per node, where
+    # ``tolist`` of an int array would box every arc's head anew.
+    nodes = np.empty(n, dtype=object)
+    nodes[:] = range(n)
+    nbr = nodes[g._nbr[np.argsort(key, kind="stable")]].tolist()
+    off = g._off.tolist()
+    order = nodes[np.argsort(deg, kind="stable")].tolist()
+    return order, [nbr[off[v]:off[v + 1]] for v in range(n)]
+
+
+def _rotation_extension(g: Graph, budget: list[int]) -> list[int] | None:
+    """Deterministic Posa-style search; the Hamilton cycle it finds, in
+    cycle order, or None."""
+    n = g.n
     # Absorb scarce low-degree nodes first: scan neighbors in degree order.
-    order = sorted(range(n), key=lambda v: (deg[v], v))
-    adj_sorted = [sorted(a, key=lambda w: (deg[w], w)) for a in adj]
+    order, adj = _degree_order(g)
     anchors = [order[0], order[n // 2], order[-1]]
     seen_anchor = set()
     for a in anchors:
         if a in seen_anchor:
             continue
         seen_anchor.add(a)
-        if _grow_cycle(adj_sorted, n, a, budget):
-            return True
+        cycle = _grow_cycle(adj, n, a, budget)
+        if cycle is not None:
+            return cycle
         if budget[0] <= 0:
-            return False
-    return False
+            return None
+    return None
 
 
 _GROW_WIDTH = 64  # endpoint-set breadth while the path still grows
@@ -207,12 +230,13 @@ _CLOSE_WIDTH = 1024  # breadth while hunting the closing edge
 _MAX_FRUITLESS = 64  # consecutive stalls without net path growth
 
 
-def _grow_cycle(adj: list[list[int]], n: int, start: int, budget: list[int]) -> bool:
+def _grow_cycle(adj: list[list[int]], n: int, start: int, budget: list[int]) -> list[int] | None:
     """Grow a path from ``start``; on a stall, breadth-first explore the
     set of endpoints reachable by rotations and adopt the first transformed
-    path that extends (or closes into a Hamilton cycle)."""
+    path that extends (or closes into a Hamilton cycle). Returns the
+    closed path, or None."""
     path = np.full(n, -1, dtype=np.int64)
-    pos = np.full(n, -1, dtype=np.int64)
+    pos = np.full(n, -1, dtype=np.int64)  # position on the path, -1 off it
     path[0] = start
     pos[start] = 0
     length = 1
@@ -221,10 +245,9 @@ def _grow_cycle(adj: list[list[int]], n: int, start: int, budget: list[int]) -> 
     fruitless = 0
     while budget[0] > 0:
         budget[0] -= 1
-        t = int(path[length - 1])
         ext = -1
-        for u in adj[t]:
-            if pos[u] < 0:
+        for u in adj[path.item(length - 1)]:
+            if pos.item(u) < 0:
                 ext = u
                 break
         if ext >= 0:
@@ -234,79 +257,70 @@ def _grow_cycle(adj: list[list[int]], n: int, start: int, budget: list[int]) -> 
             if length > best_length:
                 best_length = length
                 fruitless = 0
-            if length == n:
-                if int(path[n - 1]) in head_set:
-                    return True
+            if length == n and ext in head_set:
+                return path.tolist()
             continue
         # Stalled: explore rotation endpoints breadth-first.
         adopted, closed = _posa_step(adj, path, pos, length, head_set, budget, n)
         if closed:
-            return True
+            return path.tolist()
         if not adopted:
-            return False  # rotation-closed dead end for this anchor
+            return None  # rotation-closed dead end for this anchor
         fruitless += 1
         if fruitless > _MAX_FRUITLESS:
-            return False
-    return False
+            return None
+    return None
 
 
 def _posa_step(adj, path, pos, length, head_set, budget, n):
     """One stall resolution. Mutates path/pos on success.
 
-    Returns (adopted, closed): ``closed`` when a Hamilton cycle is
-    certified, ``adopted`` when a rotated path was taken that either
-    extends or escapes the explored endpoint set.
+    Returns (adopted, closed): ``closed`` when the path has been rotated
+    into a Hamilton cycle, ``adopted`` when a rotated path was taken that
+    either extends or escapes the explored endpoint set.
 
-    Endpoint discovery is O(deg): whether a rotation endpoint extends or
-    closes only depends on the visited set, which rotations preserve, so
-    transformed paths are materialized lazily from (parent, pivot) chains
-    and only for entries that are themselves expanded or adopted.
+    Every endpoint is reached by a chain of rotations of ``path``, kept as
+    its pivot positions. Rotating at pivot ``piv`` reverses the suffix
+    after it, moving position p > piv to ``piv + length - p``; each
+    rotation is its own inverse. So a node's position on a rotated path,
+    and the node at a rotated position, follow from ``pos`` and ``path``
+    by the chain alone, and only an adopted path is ever written.
     """
     width = _CLOSE_WIDTH if length == n else _GROW_WIDTH
-    base = path[:length].copy()
-    t = int(base[length - 1])
+    t = path.item(length - 1)
     visited = {t}
-    parent = [-1]  # entry index this endpoint was discovered from
-    pivot = [-1]  # pivot position of the discovering rotation
+    chains = [()]  # pivot positions of the rotations reaching each endpoint
     endpoint = [t]
     qi = 0
-
-    def materialize(k: int) -> np.ndarray:
-        chain = []
-        while k != 0:
-            chain.append(pivot[k])
-            k = parent[k]
-        cur = base
-        for piv in reversed(chain):
-            nxt = cur.copy()
-            nxt[piv + 1:length] = cur[piv + 1:length][::-1]
-            cur = nxt
-        return cur
-
     while qi < len(endpoint) and len(visited) <= width and budget[0] > 0:
         budget[0] -= 4
-        cur = materialize(qi)
-        e = endpoint[qi]
-        cpos = np.full(n, -1, dtype=np.int64)
-        cpos[cur] = np.arange(length)
-        for x in adj[e]:
-            i = int(cpos[x])
-            if i < 0 or i >= length - 2:
+        chain = chains[qi]
+        for x in adj[endpoint[qi]]:
+            i = pos.item(x)
+            if i < 0:
                 continue
-            y = int(cur[i + 1])
+            for piv in chain:
+                if i > piv:
+                    i = piv + length - i
+            if i >= length - 2:
+                continue
+            j = i + 1
+            for piv in reversed(chain):
+                if j > piv:
+                    j = piv + length - j
+            y = path.item(j)
             if y in visited:
                 continue
             visited.add(y)
+            rotated = chain + (i,)
             if length == n and y in head_set:
+                _adopt(path, pos, length, rotated)
                 return False, True
-            parent.append(qi)
-            pivot.append(i)
+            chains.append(rotated)
             endpoint.append(y)
             for w in adj[y]:
-                if pos[w] < 0:
-                    rotated = cur.copy()
-                    rotated[i + 1:length] = cur[i + 1:length][::-1]
-                    _adopt(path, pos, rotated, length, n)
+                if pos.item(w) < 0:
+                    _adopt(path, pos, length, rotated)
                     return True, False
         qi += 1
     if qi >= len(endpoint) and len(visited) <= width:
@@ -314,19 +328,36 @@ def _posa_step(adj, path, pos, length, head_set, budget, n):
     if budget[0] <= 0:
         return False, False
     # Breadth cap hit: adopt the deepest rotation and keep searching.
-    _adopt(path, pos, materialize(len(endpoint) - 1), length, n)
+    _adopt(path, pos, length, chains[-1])
     return True, False
 
 
-def _adopt(path, pos, new_prefix, length, n) -> None:
-    path[:length] = new_prefix
-    pos.fill(-1)
-    pos[path[:length]] = np.arange(length)
+def _adopt(path: np.ndarray, pos: np.ndarray, length: int, chain: tuple[int, ...]) -> None:
+    """Apply the chain's rotations to ``path[:length]``; ``pos`` changes
+    only after the smallest pivot."""
+    for piv in chain:
+        path[piv + 1:length] = path[piv + 1:length][::-1]
+    lo = min(chain) + 1
+    pos[path[lo:length]] = np.arange(lo, length)
+
+
+def is_hamilton_cycle(g: Graph, cycle) -> bool:
+    """True iff ``cycle`` lists every node of ``g`` once and each
+    consecutive pair, the last and first included, is an edge of ``g``."""
+    n = g.n
+    c = np.asarray(cycle, dtype=np.int64)
+    if n < 3 or c.shape != (n,) or not np.array_equal(np.sort(c), np.arange(n)):
+        return False
+    nxt = np.roll(c, -1)
+    keys = np.minimum(c, nxt) * n + np.maximum(c, nxt)
+    edge_keys = g.edge_keys()
+    at = np.searchsorted(edge_keys, keys)
+    return bool(np.all(at < edge_keys.size) and np.array_equal(edge_keys[at], keys))
 
 
 def decide_hamilton(g: Graph, search_steps: int) -> bool:
     n = g.n
-    if not is_biconnected(g):
+    if n < 3 or g.min_degree() < 2 or not is_connected(g):
         return False
     if 2 * g.min_degree() >= n:
         return True  # Dirac
@@ -334,13 +365,20 @@ def decide_hamilton(g: Graph, search_steps: int) -> bool:
     if verdict is not None:
         return verdict
     budget = [search_steps]
-    if _rotation_extension(g.adjacency_lists(), n, budget):
+    cycle = _rotation_extension(g, budget)
+    if cycle is not None:
+        g._cache["hamilton_cycle"] = cycle
         return True
+    if not is_biconnected(g):
+        return False
     if n > _DP_MAX_NODES:
-        spent = search_steps - max(budget[0], 0)
+        if budget[0] > 0:
+            spent = search_steps - budget[0]
+            why = f"every anchor dead-ended or stalled after {spent} of {search_steps} steps"
+        else:
+            why = f"the step budget of {search_steps} ran out"
         raise BudgetExceeded(
-            f"hamilton search inconclusive at n={n} after {spent} of "
-            f"{search_steps} steps, above the subset DP cap of "
-            f"{_DP_MAX_NODES} nodes"
+            f"hamilton search inconclusive at n={n}: {why}, above the subset "
+            f"DP cap of {_DP_MAX_NODES} nodes"
         )
     return _closure_complete(g) or _hamilton_dp(g)

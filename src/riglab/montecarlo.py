@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from . import scaling
 from .errors import BudgetExceeded, ParameterError
 from .graphs import is_connected
+from .hamilton import is_hamilton_cycle
 from .models import IntersectionSpec, ModelSpec
 from .properties import (
     DEFAULT_BUDGET,
@@ -165,7 +166,10 @@ def _run_one_trial(
         if prop.kind == K_CONNECTED and mind < prop.k:
             violations.append("k_connected_implies_min_degree")
         elif prop.kind == HAMILTON_CYCLE:
-            if not is_k_connected(g, 2):
+            # A Hamilton cycle certifies 2-connectivity: check the one the
+            # search found, else (Dirac, forced edges, DP) test directly.
+            cycle = g._cache.get("hamilton_cycle")
+            if not (is_k_connected(g, 2) if cycle is None else is_hamilton_cycle(g, cycle)):
                 violations.append("hamilton_implies_biconnected")
             if not has_near_perfect_matching(g):
                 violations.append("hamilton_implies_matching")

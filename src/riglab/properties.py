@@ -88,9 +88,11 @@ class DecisionBudget:
     """Step budget of the Hamilton decision's rotation-extension search.
 
     ``search_steps`` (default 200_000) bounds the search the decision runs
-    before it falls back to the subset DP, which only graphs of at most
-    ``hamilton._DP_MAX_NODES`` nodes reach; a larger graph the search
-    leaves open raises ``BudgetExceeded``.
+    once the degree, connectivity, Dirac and forced-edge stages leave a
+    graph open. A graph the search leaves open is False if it has a cut
+    vertex; otherwise the subset DP decides it, which only graphs of at
+    most ``hamilton._DP_MAX_NODES`` nodes reach, and a larger graph raises
+    ``BudgetExceeded``.
     """
 
     search_steps: int = 200_000

@@ -68,3 +68,23 @@ def test_single_node_trials_pass_the_audit(prop):
     summary = run_experiment(cfg).summary
     assert summary.successes == 3
     assert sum(summary.audit_violations.values()) == 0
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_audit_checks_the_stored_hamilton_cycle(monkeypatch, corrupt):
+    # ER(200, 0.08): trial 0 of seed 7 is decided by the rotation
+    # search; a cycle with one node repeated must fail the audit
+    from riglab import hamilton
+
+    search = hamilton._rotation_extension
+
+    def search_then_corrupt(g, budget):
+        cycle = search(g, budget)
+        return cycle[:-1] + [cycle[0]] if corrupt else cycle
+
+    monkeypatch.setattr(hamilton, "_rotation_extension", search_then_corrupt)
+    monkeypatch.setattr(montecarlo, "is_k_connected", None)  # a stored cycle is audited alone
+    rec = montecarlo._run_one_trial(ErParams(200, 0.08), PropertyKind.hamilton_cycle(),
+                                    montecarlo.DEFAULT_BUDGET, 7, 0)
+    assert rec.outcome
+    assert rec.violations == (("hamilton_implies_biconnected",) if corrupt else ())

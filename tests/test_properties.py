@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from riglab.errors import BudgetExceeded, ParameterError
 from riglab.graphs import Graph
+from riglab.hamilton import is_hamilton_cycle
 from riglab.matching import maximum_matching
 from riglab.models import ErParams, sample_er
 from riglab.properties import (
@@ -225,19 +227,76 @@ class TestHamilton:
             checked += 1
         assert checked >= 60  # the search should rarely be inconclusive
 
-    @pytest.mark.parametrize("seed, left", [(0, 197_445), (1, 196_678), (5, 197_318)])
-    def test_search_path_pinned(self, seed, left):
+    @pytest.mark.parametrize("seed, left, digest", [
+        (0, 197_445, "ec4ba08495cafde7"),
+        (1, 196_678, "37689bff84e3286b"),
+        (5, 197_318, "92b49b0edcbda7e5"),
+    ])
+    def test_search_path_pinned(self, seed, left, digest):
         # ER at n=2000, deviation +3: the steps the rotation search leaves
         # of its budget fix the path it took, so a rewrite of its data
-        # structures must leave them unchanged
+        # structures must leave them, and the cycle found, unchanged
         from riglab.hamilton import _rotation_extension
 
         n = 2000
         q = (math.log(n) + math.log(math.log(n)) + 3.0) / n
         g = sample_er(ErParams(n, q), RngStream(seed, 0))
         budget = [200_000]
-        assert _rotation_extension(g.adjacency_lists(), n, budget)
+        cycle = _rotation_extension(g, budget)
         assert budget[0] == left
+        assert hashlib.sha256(np.asarray(cycle, dtype=np.int64).tobytes()).hexdigest()[:16] == digest
+
+    def test_found_cycle_is_kept_and_skips_tarjan(self):
+        n = 200
+        g = sample_er(ErParams(n, 3 * math.log(n) / n), RngStream(7, 0))
+        assert has_hamilton_cycle(g)
+        assert is_hamilton_cycle(g, g._cache["hamilton_cycle"])
+        assert "biconnected" not in g._cache  # the cycle certified it
+
+    @pytest.mark.parametrize("blocks, size", [(2, 3), (2, 4), (2, 13)],
+                             ids=["bowtie", "k4-bowtie", "two-k13"])
+    @pytest.mark.parametrize("steps", [1, 200_000])
+    def test_cut_vertex_is_false_after_failed_search(self, blocks, size, steps):
+        # K_size blocks sharing node 0: minimum degree >= 2 and a cut
+        # vertex, on 5, 7 and 25 nodes (the last above the DP cap), so
+        # neither an exhausted nor a failed search may raise
+        edges = []
+        for b in range(blocks):
+            nodes = [0] + list(range(1 + b * (size - 1), 1 + (b + 1) * (size - 1)))
+            edges += [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        g = Graph.from_edges(1 + blocks * (size - 1), edges)
+        assert g.min_degree() >= 2 and not is_k_connected(g, 2)
+        assert not has_hamilton_cycle(g, DecisionBudget(search_steps=steps))
+
+    def test_inconclusive_message_names_the_cause(self):
+        # RngStream(17, 24) at ER n=60, deviation +2: every anchor gives
+        # up after 145 steps whatever the budget
+        n = 60
+        q = (math.log(n) + math.log(math.log(n)) + 2.0) / n
+        g = sample_er(ErParams(n, q), RngStream(17, 24))
+        for steps in (200_000, 10**6):
+            with pytest.raises(BudgetExceeded, match=(
+                    f"inconclusive at n=60: every anchor dead-ended or stalled "
+                    f"after 145 of {steps} steps")):
+                has_hamilton_cycle(g, DecisionBudget(search_steps=steps))
+        circulant = Graph.from_edges(30, [(v, (v + d) % 30) for v in range(30) for d in (1, 2)])
+        with pytest.raises(BudgetExceeded, match="inconclusive at n=30: the step budget of 1 ran out"):
+            has_hamilton_cycle(circulant, DecisionBudget(search_steps=1))
+
+    def test_cycle_check_rejects_mutations(self):
+        n = 200
+        g = sample_er(ErParams(n, 3 * math.log(n) / n), RngStream(7, 0))
+        assert has_hamilton_cycle(g)
+        cycle = list(g._cache["hamilton_cycle"])
+        assert is_hamilton_cycle(g, cycle)
+        assert not is_hamilton_cycle(g, cycle[:-1] + [cycle[0]])  # repeated node
+        assert not is_hamilton_cycle(Graph.complete(4), [0, 1, 0, 1])  # ... on edges only
+        assert not is_hamilton_cycle(g, cycle[:-1])  # missing node
+        assert not is_hamilton_cycle(g, cycle + [cycle[0]])  # wrong length
+        assert not is_hamilton_cycle(g, cycle[:-1] + [n])  # not a node
+        path = Graph.path(5)  # every consecutive pair is an edge but (4, 0)
+        assert not is_hamilton_cycle(path, [0, 1, 2, 3, 4])
+        assert is_hamilton_cycle(Graph.cycle(5), [0, 1, 2, 3, 4])
 
     def test_default_budget_decides_near_threshold(self):
         # ER at n=24, deviation +4: a subset DP run first exceeds its state
