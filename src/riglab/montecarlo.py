@@ -167,7 +167,7 @@ def _run_one_trial(
             violations.append("k_connected_implies_min_degree")
         elif prop.kind == HAMILTON_CYCLE:
             # A Hamilton cycle certifies 2-connectivity: check the one the
-            # search found, else (Dirac, forced edges, DP) test directly.
+            # search found, else (Dirac, forced edges, closure, DP) test directly.
             cycle = g._cache.get("hamilton_cycle")
             if not (is_k_connected(g, 2) if cycle is None else is_hamilton_cycle(g, cycle)):
                 violations.append("hamilton_implies_biconnected")
