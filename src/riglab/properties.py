@@ -12,7 +12,9 @@
 
 k-connectivity uses dedicated linear-time procedures for k=1 (search) and
 k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
-all run on one split digraph built once per decision. k-robustness is
+all run on one split digraph built once per decision, each augmenting path
+coming from a search that grows from both ends of the flow until the two
+sides meet. k-robustness is
 settled by exact stages (components, k = 1, minimum degree) and otherwise
 by one exact feasibility MILP whose solution, when there is one, is
 checked as a failing subset. The exponential checkers raise
@@ -119,7 +121,9 @@ class _SplitDigraph:
     kept, those of a query's endpoints included: with the source at s_out
     and the sink at t_in, s_in -> s_out ends at the source and
     t_in -> t_out starts at the sink, so no augmenting path uses either
-    and one arc store serves every pair.
+    and one arc store serves every pair. ``head[x]`` lists the arcs out of
+    x together with the reverses of the arcs into x, so a search walks it
+    forwards from the source and backwards from the sink alike.
     """
 
     def __init__(self, adj: list[list[int]], n: int):
@@ -145,8 +149,10 @@ class _SplitDigraph:
         self._to = to
         self._cap = cap
         self._head = head
-        # BFS marks: node x is reached in the current search iff
-        # seen[x] == epoch, so no per-search reset is needed.
+        # Search marks: in the current search node x was reached from the
+        # source iff seen[x] == epoch - 1 and from the sink iff
+        # seen[x] == epoch. The epoch steps by 2, so no mark of an earlier
+        # search matches and no per-search reset is needed.
         self._seen = [0] * (2 * n)
         self._prev = [0] * (2 * n)
         self._epoch = 0
@@ -154,9 +160,15 @@ class _SplitDigraph:
     def flow_at_least(self, s: int, t: int, k: int) -> bool:
         """Menger decision: >= k internally node-disjoint s-t paths.
 
-        Augmenting BFS stopped as soon as k paths are found; every arc the
-        flow augmented is then restored, leaving the digraph at zero flow
-        for the next pair.
+        Each augmenting path comes from a bidirectional search of the
+        residual digraph: the forward side leaves the source along arcs
+        with residual capacity, the backward side leaves the sink along
+        such arcs reversed, and each round grows the smaller frontier by
+        one whole level until the sides meet or one side runs out. A side
+        records in ``prev`` the arc that leads towards its own end, so the
+        path is augmented from the meeting arc out to both ends. The flows
+        stop as soon as k paths are found; every arc the flow augmented is
+        then restored, leaving the digraph at zero flow for the next pair.
         """
         to, cap, head = self._to, self._cap, self._head
         seen, prev = self._seen, self._prev
@@ -165,32 +177,65 @@ class _SplitDigraph:
         pushed: list[int] = []
         flow = 0
         while flow < k:
-            epoch += 1
-            seen[source] = epoch
-            queue = [source]
-            reached = False
-            for x in queue:  # the list grows while it is walked
-                for aid in head[x]:
-                    if cap[aid]:
-                        y = to[aid]
-                        if seen[y] != epoch:
-                            seen[y] = epoch
-                            prev[y] = aid
-                            if y == sink:
-                                reached = True
-                                break
-                            queue.append(y)
-                if reached:
+            epoch += 2
+            fwd = epoch - 1
+            seen[source] = fwd
+            seen[sink] = epoch
+            front, back = [source], [sink]
+            meet = -1  # the arc, from a forward to a backward node, where the sides met
+            while front and back:
+                level: list[int] = []
+                if len(front) <= len(back):
+                    for x in front:
+                        for aid in head[x]:
+                            if cap[aid]:
+                                y = to[aid]
+                                mark = seen[y]
+                                if mark == epoch:
+                                    meet = aid
+                                    break
+                                if mark != fwd:
+                                    seen[y] = fwd
+                                    prev[y] = aid
+                                    level.append(y)
+                        if meet >= 0:
+                            break
+                    front = level
+                else:
+                    for x in back:
+                        for aid in head[x]:
+                            if cap[aid ^ 1]:
+                                y = to[aid]
+                                mark = seen[y]
+                                if mark == fwd:
+                                    meet = aid ^ 1
+                                    break
+                                if mark != epoch:
+                                    seen[y] = epoch
+                                    prev[y] = aid ^ 1
+                                    level.append(y)
+                        if meet >= 0:
+                            break
+                    back = level
+                if meet >= 0:
                     break
-            if not reached:
+            if meet < 0:
                 break
-            x = sink
+            path = [meet]
+            x = to[meet]
+            while x != sink:
+                aid = prev[x]
+                path.append(aid)
+                x = to[aid]
+            x = to[meet ^ 1]
             while x != source:
                 aid = prev[x]
+                path.append(aid)
+                x = to[aid ^ 1]
+            for aid in path:
                 cap[aid] -= 1
                 cap[aid ^ 1] += 1
-                pushed.append(aid)
-                x = to[aid ^ 1]
+            pushed += path
             flow += 1
         self._epoch = epoch
         for aid in pushed:

@@ -13,6 +13,7 @@ from riglab.matching import maximum_matching
 from riglab.models import ErParams, sample_er
 from riglab.properties import (
     DecisionBudget,
+    _SplitDigraph,
     PropertyKind,
     evaluate_property,
     has_hamilton_cycle,
@@ -119,6 +120,68 @@ class TestKConnected:
             assert g.min_degree() >= k, (k, n)
             assert not is_k_connected(g, k), (k, n)
             assert is_k_connected(g, k - 1), (k, n)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("v_side", ["small", "large"])
+    def test_planted_cut_at_the_min_degree_node(self, k, v_side):
+        # The k-1 separator nodes are neighbours of the min-degree node v,
+        # so every flow from v into the far block is blocked next to v. In
+        # the search that fails, the side whose block is small runs out
+        # first: the one leaving v when v's block is small, the one
+        # leaving the sink when it is large.
+        rng = RngStream(919, k).generator()
+        sep = list(range(k - 1))
+        v = k - 1
+        sizes = (k + 2, 80) if v_side == "small" else (80, k + 2)
+        blocks = (range(v, v + sizes[0]), range(v + sizes[0], v + sum(sizes)))
+        n = blocks[1][-1] + 1
+        edges = {(u, v) for u in sep} | {(v, v + 1)}
+        for block in blocks:
+            rest = [u for u in block if u != v]
+            for a, u in enumerate(rest):
+                for w in rest[a + 1:]:
+                    if len(rest) <= k + 2 or rng.random() < 0.15:
+                        edges.add((u, w))
+                edges.add((min(u, rest[a - 1]), max(u, rest[a - 1])))
+                for s in sep:
+                    if a < k or rng.random() < 0.3:
+                        edges.add((s, u))
+        g = Graph.from_edges(n, sorted(edges))
+        assert int(g.degrees().argmin()) == v and g.degree(v) == k
+        assert not is_k_connected(g, k)
+        assert is_k_connected(g, k - 1)
+
+    def test_flow_cancels_an_earlier_path(self):
+        # s-a-b-t is the unique shortest path, and the only two disjoint
+        # paths are s-c-e-b-t and s-a-d-f-t, so the second augmenting path
+        # must cancel the flow that the first sent from a to b. Three
+        # leaves on s make the frontier at s the wider one, so the side
+        # leaving t crosses the cancelled arc when s is the source and the
+        # side leaving s does when it is the sink.
+        s, a, b, t, c, e, d, f = range(8)
+        edges = [(s, a), (a, b), (b, t), (s, c), (c, e), (e, b), (a, d), (d, f), (f, t)]
+        edges += [(s, leaf) for leaf in (8, 9, 10)]
+        n = 11
+        adj = Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)).adjacency_lists()
+        for src, dst in ((s, t), (t, s)):
+            net = _SplitDigraph(adj, n)
+            assert net.flow_at_least(src, dst, 2)
+            assert not net.flow_at_least(src, dst, 3)
+            assert net._cap == _SplitDigraph(adj, n)._cap
+
+    def test_queries_leave_zero_flow(self):
+        n = 120
+        g = sample_er(ErParams(n, 0.06), RngStream(929, 0))
+        adj = g.adjacency_lists()
+        net = _SplitDigraph(adj, n)
+        rng = RngStream(929, 1).generator()
+        verdicts = set()
+        for _ in range(60):
+            s, t = (int(x) for x in rng.choice(n, 2, replace=False))
+            if not g.has_edge(s, t):
+                verdicts.add(net.flow_at_least(s, t, int(rng.integers(1, 8))))
+        assert verdicts == {True, False}
+        assert net._cap == _SplitDigraph(adj, n)._cap
 
 
 class TestMatching:
@@ -330,6 +393,20 @@ class TestNetworkxCrossCheck:
             g = sample_er(ErParams(n, q), RngStream(606, i))
             got = is_k_connected(g, 3)
             assert got == (nx.node_connectivity(self._to_networkx(nx, g)) >= 3), (n, i)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_desk_scale_connectivity(self):
+        # n = 200-250 keeps networkx's own flows under ~10 s in all.
+        nx = pytest.importorskip("networkx")
+        verdicts = set()
+        for i, (k, dev) in enumerate((k, dev) for k in (3, 4, 5) for dev in (-1, 1, 3)):
+            n = (200, 225, 250)[(k + dev) % 3]
+            # deviations around the k-connectivity threshold
+            q = (math.log(n) + (k - 1) * math.log(math.log(n)) + dev) / n
+            g = sample_er(ErParams(n, q), RngStream(505, i))
+            got = is_k_connected(g, k)
+            assert got == (nx.node_connectivity(self._to_networkx(nx, g)) >= k), (n, k, dev)
             verdicts.add(got)
         assert verdicts == {True, False}
 
