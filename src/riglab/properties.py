@@ -160,65 +160,19 @@ class _SplitDigraph:
     def flow_at_least(self, s: int, t: int, k: int) -> bool:
         """Menger decision: >= k internally node-disjoint s-t paths.
 
-        Each augmenting path comes from a bidirectional search of the
-        residual digraph: the forward side leaves the source along arcs
-        with residual capacity, the backward side leaves the sink along
-        such arcs reversed, and each round grows the smaller frontier by
-        one whole level until the sides meet or one side runs out. A side
-        records in ``prev`` the arc that leads towards its own end, so the
-        path is augmented from the meeting arc out to both ends. The flows
-        stop as soon as k paths are found; every arc the flow augmented is
-        then restored, leaving the digraph at zero flow for the next pair.
+        Each augmenting path comes from :meth:`_meeting_arc`, a search of
+        the residual digraph from both ends, and is augmented from the arc
+        where its two sides met out to the sink and back to the source.
+        The flows stop as soon as k paths are found; every arc the flow
+        augmented is then restored, leaving the digraph at zero flow for
+        the next pair.
         """
-        to, cap, head = self._to, self._cap, self._head
-        seen, prev = self._seen, self._prev
-        epoch = self._epoch
+        to, cap, prev = self._to, self._cap, self._prev
         source, sink = 2 * s + 1, 2 * t
         pushed: list[int] = []
         flow = 0
         while flow < k:
-            epoch += 2
-            fwd = epoch - 1
-            seen[source] = fwd
-            seen[sink] = epoch
-            front, back = [source], [sink]
-            meet = -1  # the arc, from a forward to a backward node, where the sides met
-            while front and back:
-                level: list[int] = []
-                if len(front) <= len(back):
-                    for x in front:
-                        for aid in head[x]:
-                            if cap[aid]:
-                                y = to[aid]
-                                mark = seen[y]
-                                if mark == epoch:
-                                    meet = aid
-                                    break
-                                if mark != fwd:
-                                    seen[y] = fwd
-                                    prev[y] = aid
-                                    level.append(y)
-                        if meet >= 0:
-                            break
-                    front = level
-                else:
-                    for x in back:
-                        for aid in head[x]:
-                            if cap[aid ^ 1]:
-                                y = to[aid]
-                                mark = seen[y]
-                                if mark == fwd:
-                                    meet = aid ^ 1
-                                    break
-                                if mark != epoch:
-                                    seen[y] = epoch
-                                    prev[y] = aid ^ 1
-                                    level.append(y)
-                        if meet >= 0:
-                            break
-                    back = level
-                if meet >= 0:
-                    break
+            meet = self._meeting_arc(source, sink)
             if meet < 0:
                 break
             path = [meet]
@@ -237,11 +191,58 @@ class _SplitDigraph:
                 cap[aid ^ 1] += 1
             pushed += path
             flow += 1
-        self._epoch = epoch
         for aid in pushed:
             cap[aid] += 1
             cap[aid ^ 1] -= 1
         return flow >= k
+
+    def _meeting_arc(self, source: int, sink: int) -> int:
+        """One bidirectional search for an augmenting source-sink path.
+
+        The forward side leaves the source along arcs with residual
+        capacity, the backward side leaves the sink along such arcs
+        reversed, and each round grows the smaller frontier by one whole
+        level. A side records in ``prev`` the arc that leads towards its
+        own end. Returns the arc from a forward to a backward node where
+        the sides met, or -1 when one side runs out first.
+        """
+        to, cap, head = self._to, self._cap, self._head
+        seen, prev = self._seen, self._prev
+        self._epoch += 2
+        bwd = self._epoch
+        fwd = bwd - 1
+        seen[source] = fwd
+        seen[sink] = bwd
+        front, back = [source], [sink]
+        while front and back:
+            level: list[int] = []
+            if len(front) <= len(back):
+                for x in front:
+                    for aid in head[x]:
+                        if cap[aid]:
+                            y = to[aid]
+                            mark = seen[y]
+                            if mark == bwd:
+                                return aid
+                            if mark != fwd:
+                                seen[y] = fwd
+                                prev[y] = aid
+                                level.append(y)
+                front = level
+            else:
+                for x in back:
+                    for aid in head[x]:
+                        if cap[aid ^ 1]:
+                            y = to[aid]
+                            mark = seen[y]
+                            if mark == fwd:
+                                return aid ^ 1
+                            if mark != bwd:
+                                seen[y] = bwd
+                                prev[y] = aid ^ 1
+                                level.append(y)
+                back = level
+        return -1
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

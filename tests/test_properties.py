@@ -13,7 +13,6 @@ from riglab.matching import maximum_matching
 from riglab.models import ErParams, sample_er
 from riglab.properties import (
     DecisionBudget,
-    _SplitDigraph,
     PropertyKind,
     evaluate_property,
     has_hamilton_cycle,
@@ -22,6 +21,7 @@ from riglab.properties import (
     is_k_robust,
     k_robust_witness,
     max_matching_size,
+    _SplitDigraph,
 )
 from riglab.rng import RngStream
 
@@ -162,7 +162,7 @@ class TestKConnected:
         edges = [(s, a), (a, b), (b, t), (s, c), (c, e), (e, b), (a, d), (d, f), (f, t)]
         edges += [(s, leaf) for leaf in (8, 9, 10)]
         n = 11
-        adj = Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)).adjacency_lists()
+        adj = Graph.from_edges(n, sorted((min(uv), max(uv)) for uv in edges)).adjacency_lists()
         for src, dst in ((s, t), (t, s)):
             net = _SplitDigraph(adj, n)
             assert net.flow_at_least(src, dst, 2)
