@@ -14,13 +14,12 @@ k-connectivity uses dedicated linear-time procedures for k=1 (search) and
 k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
 all run on one split digraph built once per decision, each augmenting path
 coming from a search that grows from both ends of the flow until the two
-sides meet. k-robustness is
-settled by exact stages (components, k = 1, minimum degree) and otherwise
-by one exact feasibility MILP whose solution, when there is one, is
-checked as a failing subset. The exponential checkers raise
-``BudgetExceeded`` instead of guessing: Hamilton's past its
-:class:`DecisionBudget` search and its subset-DP node cap, robustness past
-a fixed number of branch-and-bound nodes.
+sides meet. k-robustness is settled by exact stages (components, k = 1,
+minimum degree) and otherwise by one exact feasibility MILP whose
+solution, when there is one, is checked as a failing subset. The
+exponential checkers raise ``BudgetExceeded`` instead of guessing:
+Hamilton's past its :class:`DecisionBudget` search and its subset-DP node
+cap, robustness past a fixed number of branch-and-bound nodes.
 """
 
 from __future__ import annotations
