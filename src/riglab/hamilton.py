@@ -9,18 +9,22 @@ returns certified answers:
 3. forced edges around degree-2 nodes: False when a node needs 3 cycle
    edges or they close a subcycle, True when they form a spanning cycle,
 4. certified True: rotation-extension search, within ``search_steps``,
-   produces an explicit cycle, kept on the graph as
-   ``g._cache["hamilton_cycle"]`` for :func:`is_hamilton_cycle` to audit,
-5. only after a failed search, certified False: a cut vertex,
-6. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
+   grows a path from one anchor node after another until one closes into
+   an explicit cycle, kept on the graph as ``g._cache["hamilton_cycle"]``
+   for :func:`is_hamilton_cycle` to audit. The anchors are first the
+   nodes of lowest, median and highest degree,
+5. only after those three fail, certified False: a cut vertex,
+6. then every other node in (degree, id) order, within the same steps,
+7. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
    subset dynamic programming over (visited-set, endpoint) states decide
    exactly; above it the pipeline raises ``BudgetExceeded`` - never a guess.
 
 Near the sharp thresholds where the experiments run, almost every
 non-Hamiltonian sample is caught by the first and third stages and almost
-every Hamiltonian sample yields to rotation-extension quickly, whose
-cycle certifies 2-connectivity, so the cut-vertex search runs only when
-the search fails.
+every Hamiltonian sample yields to rotation-extension from the first
+anchors quickly, whose cycle certifies 2-connectivity, so the cut-vertex
+search runs only when they fail, and a graph with a cut vertex never pays
+for the remaining anchors.
 """
 
 from __future__ import annotations
@@ -205,23 +209,19 @@ def _degree_order(g: Graph) -> tuple[list[int], list[list[int]]]:
     return order, [nbr[off[v]:off[v + 1]] for v in range(n)]
 
 
-def _rotation_extension(g: Graph, budget: list[int]) -> list[int] | None:
-    """Deterministic Posa-style search; the Hamilton cycle it finds, in
-    cycle order, or None."""
+def _rotation_extension(g: Graph, budget: list[int], rest: bool = False) -> list[int] | None:
+    """Deterministic Posa-style search from one anchor after another until
+    the budget is spent; the Hamilton cycle it finds, in cycle order, or
+    None. The anchors are the nodes of lowest, median and highest degree,
+    or with ``rest`` every other node in degree order."""
     n = g.n
     # Absorb scarce low-degree nodes first: scan neighbors in degree order.
     order, adj = _degree_order(g)
-    anchors = [order[0], order[n // 2], order[-1]]
-    seen_anchor = set()
-    for a in anchors:
-        if a in seen_anchor:
-            continue
-        seen_anchor.add(a)
+    first = list(dict.fromkeys((order[0], order[n // 2], order[-1])))
+    for a in [v for v in order if v not in first] if rest else first:
         cycle = _grow_cycle(adj, n, a, budget)
-        if cycle is not None:
+        if cycle is not None or budget[0] <= 0:
             return cycle
-        if budget[0] <= 0:
-            return None
     return None
 
 
@@ -366,11 +366,13 @@ def decide_hamilton(g: Graph, search_steps: int) -> bool:
         return verdict
     budget = [search_steps]
     cycle = _rotation_extension(g, budget)
+    if cycle is None:
+        if not is_biconnected(g):
+            return False
+        cycle = _rotation_extension(g, budget, rest=True)
     if cycle is not None:
         g._cache["hamilton_cycle"] = cycle
         return True
-    if not is_biconnected(g):
-        return False
     if n > _DP_MAX_NODES:
         if budget[0] > 0:
             spent = search_steps - budget[0]

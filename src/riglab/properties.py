@@ -90,9 +90,12 @@ class DecisionBudget:
 
     ``search_steps`` (default 200_000) bounds the search the decision runs
     once the degree, connectivity, Dirac and forced-edge stages leave a
-    graph open. A graph the search leaves open is False if it has a cut
-    vertex; otherwise the subset DP decides it, which only graphs of at
-    most ``hamilton._DP_MAX_NODES`` nodes reach, and a larger graph raises
+    graph open. The search grows paths from the nodes of lowest, median
+    and highest degree; if none closes a cycle the graph is False when it
+    has a cut vertex, and otherwise the search goes on from every other
+    node in degree order with the steps left. A graph it still leaves
+    open is decided by the subset DP, which only graphs of at most
+    ``hamilton._DP_MAX_NODES`` nodes reach; a larger graph raises
     ``BudgetExceeded``.
     """
 

@@ -75,6 +75,13 @@ class TestExitCodes:
         assert f"trial 0 (stream seed {RngStream(0, 0).key()})" in err
         assert cli.main(["experiment", "-c", cfg]) == 0
 
+    def test_hamilton_experiment_past_the_first_anchors(self, tmp_path):
+        # trial 24 is Hamiltonian but defeats the first three search anchors
+        cfg = _write_config(tmp_path, trials=30, workers=1, seed=17,
+                            model={"family": "er", "n": 60}, property={"kind": "hamilton"},
+                            solve={"deviation": 2.0})
+        assert cli.main(["experiment", "-c", cfg]) == 0
+
     def test_search_steps_off_hamilton_experiment(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, trials=2, workers=1, model=ER_MODEL, property=KCONN,
                             budget={"search_steps": 5})

@@ -330,21 +330,54 @@ class TestHamilton:
         assert g.min_degree() >= 2 and not is_k_connected(g, 2)
         assert not has_hamilton_cycle(g, DecisionBudget(search_steps=steps))
 
+    def test_cut_vertex_skips_the_remaining_anchors(self, monkeypatch):
+        # two K_13 sharing node 0: the first three anchors fail, and the
+        # cut vertex decides before any other anchor is tried
+        from riglab import hamilton
+
+        calls = []
+        search = hamilton._rotation_extension
+        monkeypatch.setattr(hamilton, "_rotation_extension",
+                            lambda g, budget, rest=False: calls.append(rest) or search(g, budget, rest))
+        halves = ([0, *range(1, 13)], [0, *range(13, 25)])
+        g = Graph.from_edges(25, [
+            (u, v) for half in halves for i, u in enumerate(half) for v in half[i + 1:]
+        ])
+        assert not has_hamilton_cycle(g)
+        assert calls == [False]
+
     def test_inconclusive_message_names_the_cause(self):
-        # RngStream(17, 24) at ER n=60, deviation +2: every anchor gives
-        # up after 145 steps whatever the budget
-        n = 60
-        q = (math.log(n) + math.log(math.log(n)) + 2.0) / n
-        g = sample_er(ErParams(n, q), RngStream(17, 24))
+        # K_{13,14}: biconnected, above the DP cap and without a Hamilton
+        # cycle, so all 27 anchors dead-end, after 2120 steps in all
+        # whatever the budget
+        g = Graph.from_edges(27, [(u, v) for u in range(13) for v in range(13, 27)])
+        assert is_k_connected(g, 2)
         for steps in (200_000, 10**6):
             with pytest.raises(BudgetExceeded, match=(
-                    f"inconclusive at n=60: every anchor dead-ended or stalled "
-                    f"after 145 of {steps} steps")):
+                    f"inconclusive at n=27: every anchor dead-ended or stalled "
+                    f"after 2120 of {steps} steps")):
                 has_hamilton_cycle(g, DecisionBudget(search_steps=steps))
         circulant = Graph.from_edges(30, [(v, (v + d) % 30) for v in range(30) for d in (1, 2)])
         with pytest.raises(BudgetExceeded,
                            match="inconclusive at n=30: the step budget of 1 ran out"):
             has_hamilton_cycle(circulant, DecisionBudget(search_steps=1))
+
+    def test_search_goes_past_the_first_three_anchors(self):
+        # RngStream(17, 24) at ER n=60, deviation +2: the lowest-, median-
+        # and highest-degree anchors dead-end after 145 steps, but the
+        # graph is Hamiltonian: the second node in degree order closes a
+        # cycle in 87 more
+        n = 60
+        q = (math.log(n) + math.log(math.log(n)) + 2.0) / n
+        g = sample_er(ErParams(n, q), RngStream(17, 24))
+        assert has_hamilton_cycle(g)
+        assert is_hamilton_cycle(g, g._cache["hamilton_cycle"])
+        from riglab.hamilton import _rotation_extension
+
+        budget = [200_000]
+        assert _rotation_extension(g, budget) is None and budget[0] == 200_000 - 145
+        assert _rotation_extension(g, budget, rest=True) is not None
+        assert budget[0] == 200_000 - 145 - 87
 
     def test_cycle_check_rejects_mutations(self):
         n = 200
