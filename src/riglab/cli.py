@@ -23,16 +23,18 @@ from . import montecarlo, scaling
 from .errors import BudgetExceeded, ConfigError, EdgeListFormatError, ParameterError
 from .graphs import read_edge_list, write_edge_list
 from .models import SQUARE, TORUS, sample_model
-from .properties import DecisionBudget, PropertyKind, evaluate_property, k_robust_witness
+from .properties import (
+    HAMILTON_CYCLE,
+    K_ROBUST,
+    PROPERTIES,
+    DecisionBudget,
+    PropertyKind,
+    evaluate_property,
+    k_robust_witness,
+)
 from .rng import RngStream
 
-_PROPERTY_NAMES = {
-    "mindeg": "min_degree",
-    "kconn": "k_connected",
-    "matching": "near_perfect_matching",
-    "hamilton": "hamilton_cycle",
-    "robust": "k_robust",
-}
+_PROPERTY_NAMES = {row.cli: kind for kind, row in PROPERTIES.items()}
 
 
 def _fmt(x: float) -> str:
@@ -155,8 +157,9 @@ def _family_params_from_args(args) -> scaling.FamilyParams:
 
 def _budget_from(doc: dict | None, args, prop: PropertyKind) -> DecisionBudget:
     steps = _first_set(args.search_steps, (doc or {}).get("search_steps"))
-    if steps is not None and prop.kind != "hamilton_cycle":
-        raise ConfigError("--search-steps (budget.search_steps) applies only to hamilton")
+    if steps is not None and prop.kind != HAMILTON_CYCLE:
+        raise ConfigError("--search-steps (budget.search_steps) applies only to "
+                          + PROPERTIES[HAMILTON_CYCLE].cli)
     return DecisionBudget() if steps is None else DecisionBudget(steps)
 
 
@@ -188,7 +191,7 @@ def _cmd_check(args) -> int:
     g = read_edge_list(args.graph)
     prop = _property_from(args.property, args.k)
     budget = _budget_from(None, args, prop)
-    if prop.kind == "k_robust":
+    if prop.kind == K_ROBUST:
         witness = k_robust_witness(g, prop.k)
         print("true" if witness is None else "false")
         if witness is not None:
@@ -371,14 +374,14 @@ def _print_summary(summary) -> None:
     lo, hi = summary.wilson_95
     print(f"empirical probability: {_fmt(summary.empirical_probability)} "
           f"(wilson95 [{_fmt(lo)}, {_fmt(hi)}])")
-    if summary.implied_deviation is not None:
-        print(f"implied deviation: {_fmt(summary.implied_deviation)}")
-    if summary.predicted_probability is not None:
-        print(f"predicted limit: {_fmt(summary.predicted_probability)}")
-    elif summary.limit_form is not None:
-        print("predicted limit: unspecified (zero-one law at finite deviation)")
-    for c in summary.side_conditions:
-        print(f"side condition {c.name}: {_fmt(c.value)} [{'ok' if c.ok else 'flagged'}]")
+    ctx = summary.threshold
+    if ctx is not None:
+        print(f"implied deviation: {_fmt(ctx.implied_deviation)}")
+        print("predicted limit: " + (
+            "unspecified (zero-one law at finite deviation)"
+            if ctx.predicted_probability is None else _fmt(ctx.predicted_probability)))
+        for c in ctx.side_conditions:
+            print(f"side condition {c.name}: {_fmt(c.value)} [{'ok' if c.ok else 'flagged'}]")
     bad = {k: v for k, v in summary.audit_violations.items() if v}
     print(f"audit violations: {bad if bad else 'none'}")
 
@@ -424,8 +427,8 @@ def _cmd_sweep(args) -> int:
             continue
         s = pt.summary
         lo, hi = s.wilson_95
-        pred = ("unspecified" if s.predicted_probability is None
-                else _fmt(s.predicted_probability))
+        pred = s.threshold.predicted_probability  # every sweep point solves its law
+        pred = "unspecified" if pred is None else _fmt(pred)
         print(f"{axis}={_fmt(pt.value)}: empirical {_fmt(s.empirical_probability)} "
               f"wilson95 [{_fmt(lo)}, {_fmt(hi)}] predicted {pred}")
         rows.append({
@@ -456,14 +459,14 @@ def _add_model_flags(p: argparse.ArgumentParser, n_required: bool) -> None:
 
 def _add_property_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--property", required=required, default=None,
-                   choices=sorted(_PROPERTY_NAMES),
-                   help="mindeg | kconn | matching | hamilton | robust")
+                   choices=sorted(_PROPERTY_NAMES), help=" | ".join(_PROPERTY_NAMES))
     p.add_argument("--k", type=int, default=1)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--search-steps", type=int, default=None,
-                   help="step budget of the hamilton rotation-extension search "
+                   help=f"step budget of the {PROPERTIES[HAMILTON_CYCLE].cli} "
+                        "rotation-extension search "
                         "(default 200000); a graph it leaves open exits 3 when it "
                         "has more than 24 nodes, the subset-DP cap")
 

@@ -33,7 +33,7 @@ from .properties import (
     HAMILTON_CYCLE,
     K_CONNECTED,
     K_ROBUST,
-    MIN_DEGREE,
+    PROPERTIES,
     DecisionBudget,
     PropertyKind,
     evaluate_property,
@@ -69,14 +69,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 @dataclass(frozen=True)
 class ThresholdContext:
-    """Resolved scaling context attached to an experiment for prediction."""
+    """The threshold-law prediction at an experiment's parameters; the
+    target deviation is None when they were given, not solved for."""
 
-    family: scaling.ModelFamily
-    params: scaling.FamilyParams
     target_deviation: float | None
     implied_deviation: float
-    limit_form: str
     predicted_probability: float | None
+    limit_form: str
     side_conditions: tuple[scaling.SideCondition, ...]
 
 
@@ -117,11 +116,7 @@ class ExperimentSummary:
     successes: int
     empirical_probability: float
     wilson_95: tuple[float, float]
-    implied_deviation: float | None
-    target_deviation: float | None
-    predicted_probability: float | None
-    limit_form: str | None
-    side_conditions: tuple[scaling.SideCondition, ...]
+    threshold: ThresholdContext | None  # None for a family/property pair without a law
     audit_violations: dict[str, int]
     min_degree_ge_k: int | None
     connected_count: int
@@ -131,7 +126,6 @@ class ExperimentSummary:
 class ExperimentResult:
     summary: ExperimentSummary
     records: tuple[TrialRecord, ...]
-    elapsed_seconds: float
 
 
 def describe_model(spec: ModelSpec) -> dict:
@@ -206,7 +200,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     for every worker count. Budget errors abort the whole experiment; the
     error names the trial index and stream seed of the trial that raised it.
     """
-    t0 = time.perf_counter()
     indices = list(range(cfg.trials))
     if workers <= 1 or cfg.trials < 4:
         records = _trial_batch((cfg.model, cfg.prop, cfg.budget, cfg.seed, indices))
@@ -221,8 +214,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             for part in pool.map(_trial_batch, batches):
                 out.extend(part)
         records = sorted(out, key=lambda r: r.trial)
-    elapsed = time.perf_counter() - t0
-    return ExperimentResult(_summarize(cfg, records), tuple(records), elapsed)
+    return ExperimentResult(_summarize(cfg, records), tuple(records))
 
 
 def _summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> ExperimentSummary:
@@ -232,9 +224,8 @@ def _summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> ExperimentS
     for r in records:
         for v in r.violations:
             violations[v] += 1
-    ctx = cfg.threshold
     mind_ge_k = None
-    if cfg.prop.kind in (K_CONNECTED, MIN_DEGREE, K_ROBUST):
+    if PROPERTIES[cfg.prop.kind].parametric:
         mind_ge_k = sum(1 for r in records if r.min_degree >= cfg.prop.k)
     return ExperimentSummary(
         label=cfg.label,
@@ -245,11 +236,7 @@ def _summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> ExperimentS
         successes=successes,
         empirical_probability=successes / cfg.trials,
         wilson_95=(lo, hi),
-        implied_deviation=None if ctx is None else ctx.implied_deviation,
-        target_deviation=None if ctx is None else ctx.target_deviation,
-        predicted_probability=None if ctx is None else ctx.predicted_probability,
-        limit_form=None if ctx is None else ctx.limit_form,
-        side_conditions=() if ctx is None else ctx.side_conditions,
+        threshold=cfg.threshold,
         audit_violations=violations,
         min_degree_ge_k=mind_ge_k,
         connected_count=sum(1 for r in records if r.connected),
@@ -269,12 +256,10 @@ def threshold_context(
     spec = scaling.threshold_spec(family, prop)
     implied = scaling.deviation_from_params(family, params, prop)
     return ThresholdContext(
-        family=family,
-        params=params,
         target_deviation=target_deviation,
         implied_deviation=implied,
-        limit_form=spec.limit_form,
         predicted_probability=scaling.limiting_probability(spec, implied),
+        limit_form=spec.limit_form,
         side_conditions=scaling.side_conditions(family, params, prop),
     )
 
@@ -308,7 +293,6 @@ def threshold_experiment(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    axis: str
     value: float
     summary: ExperimentSummary | None
     error: str | None
@@ -362,9 +346,9 @@ def sweep(
                 label=f"{axis}={value}",
             )
             res = run_experiment(cfg, workers=workers)
-            points.append(SweepPoint(axis, float(value), res.summary, None))
+            points.append(SweepPoint(float(value), res.summary, None))
         except (ParameterError, BudgetExceeded) as exc:
-            points.append(SweepPoint(axis, float(value), None, f"{type(exc).__name__}: {exc}"))
+            points.append(SweepPoint(float(value), None, f"{type(exc).__name__}: {exc}"))
     return points
 
 
@@ -388,6 +372,15 @@ def write_trials_csv(records, path, timing: bool = False) -> None:
         fh.write(records_to_csv(records, timing=timing))
 
 
+def _prediction_json(ctx: ThresholdContext | None) -> dict:
+    """A summary document's prediction fields, each null without a law;
+    ``ThresholdContext`` lists its fields in the document's key order."""
+    if ctx is None:
+        return {"target_deviation": None, "implied_deviation": None,
+                "predicted_probability": None, "limit_form": None, "side_conditions": []}
+    return {**asdict(ctx), "side_conditions": [asdict(c) for c in ctx.side_conditions]}
+
+
 def summary_to_json_dict(summary: ExperimentSummary) -> dict:
     return {
         "schema": SCHEMA,
@@ -399,14 +392,7 @@ def summary_to_json_dict(summary: ExperimentSummary) -> dict:
         "successes": summary.successes,
         "empirical_probability": summary.empirical_probability,
         "wilson_95": list(summary.wilson_95),
-        "target_deviation": summary.target_deviation,
-        "implied_deviation": summary.implied_deviation,
-        "predicted_probability": summary.predicted_probability,
-        "limit_form": summary.limit_form,
-        "side_conditions": [
-            {"name": c.name, "description": c.description, "value": c.value, "ok": c.ok}
-            for c in summary.side_conditions
-        ],
+        **_prediction_json(summary.threshold),
         "audits": {
             "violations": dict(summary.audit_violations),
             "min_degree_ge_k": summary.min_degree_ge_k,

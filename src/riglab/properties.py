@@ -10,6 +10,11 @@
   node of T has at least k neighbors outside T, or some node outside T
   has at least k neighbors inside T.
 
+The single source of every property fact (command-line name, level k,
+the ln ln n coefficient and limit form of its zero-one law, decision
+procedure) is :data:`PROPERTIES`, one row per property kind, which every
+function here, the threshold laws, the summaries and the command line read.
+
 k-connectivity uses dedicated linear-time procedures for k=1 (search) and
 k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
 all run on one split digraph built once per decision, each augmenting path
@@ -25,6 +30,7 @@ cap, robustness past a fixed number of branch-and-bound nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +45,25 @@ NEAR_PERFECT_MATCHING = "near_perfect_matching"
 HAMILTON_CYCLE = "hamilton_cycle"
 K_ROBUST = "k_robust"
 
-_KINDS = (MIN_DEGREE, K_CONNECTED, NEAR_PERFECT_MATCHING, HAMILTON_CYCLE, K_ROBUST)
-_PARAMETRIC = (MIN_DEGREE, K_CONNECTED, K_ROBUST)
+ZERO_ONE = "zero_one"  # limit form of a law that fixes no value at finite deviations
+
+
+@dataclass(frozen=True)
+class PropertyRow:
+    """Everything the lab knows about one property kind.
+
+    A ``parametric`` property takes a level k >= 1, the others k = 1. Its
+    law reads ``coupling = (ln n + (lnln + k - 1) ln ln n + dev)/n``; the
+    limit named ``limit_form`` is ``exp(-exp(-d)/(k-1)!)``, or for
+    :data:`ZERO_ONE` only the 0/1 dichotomy. ``decide(g, k, budget)`` is
+    the exact decision.
+    """
+
+    cli: str
+    parametric: bool
+    lnln: int
+    limit_form: str
+    decide: Callable[[Graph, int, "DecisionBudget"], bool]
 
 
 @dataclass(frozen=True)
@@ -51,11 +74,12 @@ class PropertyKind:
     k: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        row = PROPERTIES.get(self.kind)
+        if row is None:
             raise ParameterError(f"unknown property kind {self.kind!r}")
         if self.k < 1:
             raise ParameterError("k must be a positive integer")
-        if self.kind not in _PARAMETRIC and self.k != 1:
+        if not row.parametric and self.k != 1:
             raise ParameterError(f"property {self.kind!r} takes no k")
 
     @classmethod
@@ -79,7 +103,7 @@ class PropertyKind:
         return cls(K_ROBUST, k)
 
     def label(self) -> str:
-        if self.kind in _PARAMETRIC:
+        if PROPERTIES[self.kind].parametric:
             return f"{self.kind}(k={self.k})"
         return self.kind
 
@@ -360,20 +384,29 @@ def is_k_robust(g: Graph, k: int) -> bool:
     return k_robust_witness(g, k) is None
 
 
-# -- dispatch ----------------------------------------------------------------
+# -- the property table ------------------------------------------------------
+
+
+PROPERTIES: dict[str, PropertyRow] = {
+    MIN_DEGREE: PropertyRow(
+        cli="mindeg", parametric=True, lnln=0, limit_form="poisson_kconn",
+        decide=lambda g, k, budget: g.min_degree() >= k),
+    K_CONNECTED: PropertyRow(
+        cli="kconn", parametric=True, lnln=0, limit_form="poisson_kconn",
+        decide=lambda g, k, budget: is_k_connected(g, k)),
+    NEAR_PERFECT_MATCHING: PropertyRow(
+        cli="matching", parametric=False, lnln=0, limit_form="gumbel",
+        decide=lambda g, k, budget: has_near_perfect_matching(g)),
+    HAMILTON_CYCLE: PropertyRow(
+        cli="hamilton", parametric=False, lnln=1, limit_form="gumbel",
+        decide=lambda g, k, budget: has_hamilton_cycle(g, budget)),
+    K_ROBUST: PropertyRow(
+        cli="robust", parametric=True, lnln=0, limit_form=ZERO_ONE,
+        decide=lambda g, k, budget: is_k_robust(g, k)),
+}
 
 
 def evaluate_property(
     g: Graph, prop: PropertyKind, budget: DecisionBudget = DEFAULT_BUDGET
 ) -> bool:
-    if prop.kind == MIN_DEGREE:
-        return g.min_degree() >= prop.k
-    if prop.kind == K_CONNECTED:
-        return is_k_connected(g, prop.k)
-    if prop.kind == NEAR_PERFECT_MATCHING:
-        return has_near_perfect_matching(g)
-    if prop.kind == HAMILTON_CYCLE:
-        return has_hamilton_cycle(g, budget)
-    if prop.kind == K_ROBUST:
-        return is_k_robust(g, prop.k)
-    raise ParameterError(f"unknown property {prop!r}")
+    return PROPERTIES[prop.kind].decide(g, prop.k, budget)

@@ -20,14 +20,9 @@ inverses, laws and side conditions) is :data:`FAMILIES`, one row per
 family, which every function here and the command line read.
 
 For the intersection-graph and Erdos-Renyi families the law reads
-``coupling = (ln n + c ln ln n + dev)/n`` where the ln ln n coefficient c
-is k-1 for minimum degree, k-connectivity and k-robustness, 0 for perfect
-matchings and 1 for Hamilton cycles; the limit of P[property] as the
-deviation sequence tends to d is then
-
-* ``exp(-exp(-d)/(k-1)!)`` for minimum degree / k-connectivity,
-* ``exp(-exp(-d))`` for perfect matching and Hamilton cycle,
-* the 0/1 dichotomy only (d -> -inf / +inf) for k-robustness.
+``coupling = (ln n + c ln ln n + dev)/n``; the ln ln n coefficient c and
+the limit of P[property] as the deviation sequence tends to d depend on
+the property alone, and :data:`riglab.properties.PROPERTIES` holds them.
 
 The geometric compositions instead scale ``pi r^2 K^2/P ~ a ln(n)/n`` on
 the torus (connected iff a > 1, not iff a < 1) and, on the square with its
@@ -57,11 +52,11 @@ from .models import (
     UniformRigParams,
 )
 from .properties import (
-    HAMILTON_CYCLE,
     K_CONNECTED,
-    K_ROBUST,
     MIN_DEGREE,
     NEAR_PERFECT_MATCHING,
+    PROPERTIES,
+    ZERO_ONE,
     PropertyKind,
 )
 
@@ -72,19 +67,8 @@ RGG = "rgg"
 URIG_ER = "urig_er"
 URIG_RGG = "urig_rgg"
 
-POISSON_KCONN = "poisson_kconn"
-GUMBEL = "gumbel"
-ZERO_ONE = "zero_one"
 RGG_TORUS = "rgg_torus"
 RGG_SQUARE = "rgg_square"
-
-_LIMIT_FORMS = {
-    MIN_DEGREE: POISSON_KCONN,
-    K_CONNECTED: POISSON_KCONN,
-    NEAR_PERFECT_MATCHING: GUMBEL,
-    HAMILTON_CYCLE: GUMBEL,
-    K_ROBUST: ZERO_ONE,
-}
 
 
 @dataclass(frozen=True)
@@ -174,9 +158,7 @@ class SideCondition:
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    family: ModelFamily
     property: PropertyKind
-    lnln_coefficient: int
     limit_form: str
 
 
@@ -305,7 +287,7 @@ class FamilyRow:
     geometric: bool = False
 
 
-_ALL_LAWS = tuple(_LIMIT_FORMS)
+_ALL_LAWS = tuple(PROPERTIES)
 
 FAMILIES: dict[str, FamilyRow] = {
     ER: FamilyRow(
@@ -360,13 +342,7 @@ LAW_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.coupling is n
 
 
 def lnln_offset(prop: PropertyKind) -> int:
-    if prop.kind in (MIN_DEGREE, K_CONNECTED, K_ROBUST):
-        return prop.k - 1
-    if prop.kind == NEAR_PERFECT_MATCHING:
-        return 0
-    if prop.kind == HAMILTON_CYCLE:
-        return 1
-    raise ParameterError(f"no threshold offset for {prop!r}")
+    return PROPERTIES[prop.kind].lnln + prop.k - 1
 
 
 def threshold_spec(family: ModelFamily, prop: PropertyKind) -> ThresholdSpec:
@@ -378,9 +354,8 @@ def threshold_spec(family: ModelFamily, prop: PropertyKind) -> ThresholdSpec:
     if prop.kind not in row.laws or (row.geometric and prop.k != 1):
         raise ParameterError(f"no {prop.label()} law for {family.label()}")
     if row.geometric:
-        form = RGG_TORUS if family.region == TORUS else RGG_SQUARE
-        return ThresholdSpec(family, prop, 0, form)
-    return ThresholdSpec(family, prop, lnln_offset(prop), _LIMIT_FORMS[prop.kind])
+        return ThresholdSpec(prop, RGG_TORUS if family.region == TORUS else RGG_SQUARE)
+    return ThresholdSpec(prop, PROPERTIES[prop.kind].limit_form)
 
 
 def limiting_probability(spec: ThresholdSpec, deviation: float) -> float | None:
@@ -401,15 +376,9 @@ def limiting_probability(spec: ThresholdSpec, deviation: float) -> float | None:
         return 0.0
     if spec.limit_form == ZERO_ONE:
         return None
-    if spec.limit_form == POISSON_KCONN:
-        scale = math.factorial(spec.property.k - 1)
-    elif spec.limit_form == GUMBEL:
-        scale = 1.0
-    else:
-        raise ParameterError(f"unknown limit form {spec.limit_form!r}")
     if -deviation > 500.0:
         return 0.0
-    return math.exp(-math.exp(-deviation) / scale)
+    return math.exp(-math.exp(-deviation) / math.factorial(spec.property.k - 1))
 
 
 # -- couplings and edge probabilities ----------------------------------------

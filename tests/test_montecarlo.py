@@ -1,11 +1,11 @@
 import pytest
 
-from riglab import montecarlo, scaling
-from riglab.graphs import is_connected
-from riglab.models import ErParams, sample_model
-from riglab.montecarlo import ExperimentConfig, run_experiment, sweep
-from riglab.properties import PropertyKind
-from riglab.rng import RngStream
+from riglab import cli, montecarlo, scaling
+from riglab.graphs import Graph, is_connected, write_edge_list
+from riglab.models import ErParams, RggParams, sample_model
+from riglab.montecarlo import ExperimentConfig, run_experiment, sweep, threshold_experiment
+from riglab.properties import PROPERTIES, PropertyKind
+from riglab.rng import RngStream, mix64
 
 
 @pytest.mark.parametrize("prop", [
@@ -88,3 +88,46 @@ def test_audit_checks_the_stored_hamilton_cycle(monkeypatch, corrupt):
                                     montecarlo.DEFAULT_BUDGET, 7, 0)
     assert rec.outcome
     assert rec.violations == (("hamilton_implies_biconnected",) if corrupt else ())
+
+
+def test_config_without_a_law_writes_null_predictions():
+    # the disk model is sampled only: no threshold law, so no prediction
+    cfg = ExperimentConfig(model=RggParams(30, 0.2, "torus"), prop=PropertyKind.k_connected(1),
+                           trials=3, seed=2)
+    summary = run_experiment(cfg).summary
+    assert summary.threshold is None
+    doc = montecarlo.summary_to_json_dict(summary)
+    for name in ("target_deviation", "implied_deviation", "predicted_probability", "limit_form"):
+        assert doc[name] is None
+    assert doc["side_conditions"] == []
+
+
+def test_min_degree_count_only_for_parametric_rows():
+    # the properties with a level k count the trials of minimum degree >= k
+    counted = {"min_degree": True, "k_connected": True, "near_perfect_matching": False,
+               "hamilton_cycle": False, "k_robust": True}
+    assert set(counted) == set(PROPERTIES)
+    for kind, parametric in counted.items():
+        cfg = ExperimentConfig(model=ErParams(12, 0.4), prop=PropertyKind(kind), trials=3, seed=4)
+        audits = montecarlo.summary_to_json_dict(run_experiment(cfg).summary)["audits"]
+        assert (audits["min_degree_ge_k"] is not None) == parametric == PROPERTIES[kind].parametric
+
+
+def test_sweep_point_is_the_experiment_at_its_derived_seed():
+    family, prop = scaling.ModelFamily.er(), PropertyKind.k_connected(2)
+    fixed = scaling.FamilyParams(n=40)
+    values = [-1.0, 0.5, 2.0]
+    points = sweep(family, prop, 40, fixed, "deviation", values, 5, 21)
+    for i, (pt, dev) in enumerate(zip(points, values)):
+        cfg = threshold_experiment(family, prop, 40, dev, fixed, 5, mix64(21, i),
+                                   label=f"deviation={dev}")
+        assert pt.value == dev and pt.error is None
+        assert pt.summary == run_experiment(cfg).summary
+
+
+@pytest.mark.parametrize("kind", list(PROPERTIES))
+def test_every_row_is_a_check_property(kind, tmp_path, capsys):
+    path = tmp_path / "c6.txt"
+    write_edge_list(Graph.cycle(6), str(path))
+    assert cli.main(["check", str(path), "--property", PROPERTIES[kind].cli]) == 0
+    assert capsys.readouterr().out.splitlines()[0] in ("true", "false")
