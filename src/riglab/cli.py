@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import montecarlo, scaling
+from . import hamilton, montecarlo, scaling
 from .errors import BudgetExceeded, ConfigError, EdgeListFormatError, ParameterError
 from .graphs import read_edge_list, write_edge_list
 from .models import SQUARE, TORUS, sample_model
@@ -467,8 +467,10 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--search-steps", type=int, default=None,
                    help=f"step budget of the {PROPERTIES[HAMILTON_CYCLE].cli} "
                         "rotation-extension search "
-                        "(default 200000); a graph it leaves open exits 3 when it "
-                        "has more than 24 nodes, the subset-DP cap")
+                        "(default 200000); a graph with a cut vertex is decided "
+                        "false whatever the budget, and any other graph it leaves "
+                        "open exits 3 when it has more than "
+                        f"{hamilton._DP_MAX_NODES} nodes, the subset-DP cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,10 @@
 The :class:`Graph` is the one object every sampler produces and every
 property checker consumes: nodes are ``0..n-1``, edges are an immutable
 deduplicated set of unordered pairs with no self-loops. Adjacency is kept
-in CSR-style sorted arrays; membership tests binary-search a node's row.
+in CSR arrays whose rows are sorted by id, so membership tests
+binary-search a node's row; :meth:`Graph.adjacency_lists`, the one Python
+adjacency every search walks, lists each node's neighbours in
+(degree, id) order instead.
 """
 
 from __future__ import annotations
@@ -114,13 +117,24 @@ class Graph:
             yield k // self.n, k % self.n
 
     def adjacency_lists(self) -> list[list[int]]:
-        """Neighbor lists as plain Python lists (sorted), cached."""
+        """Each node's neighbours as a plain Python list in (degree, id)
+        order, cached: the searches walk them in that order, so scarce
+        low-degree nodes are reached first."""
         adj = self._cache.get("adj")
         if adj is None:
-            nbr = self._nbr.tolist()
+            n = self.n
+            deg = self.degrees()
+            # Heads are sorted within each CSR row, so one stable sort keyed
+            # by (row, head degree) breaks degree ties by id.
+            key = np.repeat(np.arange(n, dtype=np.int64) * n, deg)
+            key += deg[self._nbr]
+            # Lists taken from an object array share one int per node, where
+            # ``tolist`` of an int array would box every arc's head anew.
+            nodes = np.empty(n, dtype=object)
+            nodes[:] = range(n)
+            nbr = nodes[self._nbr[np.argsort(key, kind="stable")]].tolist()
             off = self._off.tolist()
-            adj = [nbr[off[i]:off[i + 1]] for i in range(self.n)]
-            self._cache["adj"] = adj
+            adj = self._cache["adj"] = [nbr[off[v]:off[v + 1]] for v in range(n)]
         return adj
 
     def adjacency_masks(self) -> list[int]:

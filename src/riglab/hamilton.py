@@ -9,13 +9,15 @@ returns certified answers:
 3. forced edges around degree-2 nodes: False when a node needs 3 cycle
    edges or they close a subcycle, True when they form a spanning cycle,
 4. certified True: rotation-extension search, within ``search_steps``,
-   grows a path from one anchor node after another until one closes into
-   an explicit cycle, kept on the graph as ``g._cache["hamilton_cycle"]``
-   for :func:`is_hamilton_cycle` to audit. The anchors are first the
-   nodes of lowest, median and highest degree,
-5. only after those three fail, certified False: a cut vertex,
-6. then every other node in (degree, id) order, within the same steps,
-7. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
+   grows a path from one anchor node after another, walking the
+   neighbour lists of :meth:`Graph.adjacency_lists` in (degree, id) order,
+   until one closes into an explicit cycle, kept on the graph as
+   ``g._cache["hamilton_cycle"]`` for :func:`is_hamilton_cycle` to audit.
+   One walk visits the anchors: the nodes of lowest, median and highest
+   degree; then certified False on a cut vertex, checked even when those
+   anchors spent the budget; then every other node in (degree, id) order,
+   within the same steps,
+5. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
    subset dynamic programming over (visited-set, endpoint) states decide
    exactly; above it the pipeline raises ``BudgetExceeded`` - never a guess.
 
@@ -28,6 +30,8 @@ for the remaining anchors.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -191,40 +195,6 @@ def _hamilton_dp(g: Graph) -> bool:
     return bool(frontier.get(full, 0) & masks[0])
 
 
-def _degree_order(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """The nodes, and each node's neighbours, sorted by (degree, id)."""
-    n = g.n
-    deg = g.degrees()
-    # Heads are sorted within each CSR row, so one stable sort keyed by
-    # (row, head degree) breaks degree ties by id.
-    key = np.repeat(np.arange(n, dtype=np.int64) * n, deg)
-    key += deg[g._nbr]
-    # Lists taken from an object array share one int per node, where
-    # ``tolist`` of an int array would box every arc's head anew.
-    nodes = np.empty(n, dtype=object)
-    nodes[:] = range(n)
-    nbr = nodes[g._nbr[np.argsort(key, kind="stable")]].tolist()
-    off = g._off.tolist()
-    order = nodes[np.argsort(deg, kind="stable")].tolist()
-    return order, [nbr[off[v]:off[v + 1]] for v in range(n)]
-
-
-def _rotation_extension(g: Graph, budget: list[int], rest: bool = False) -> list[int] | None:
-    """Deterministic Posa-style search from one anchor after another until
-    the budget is spent; the Hamilton cycle it finds, in cycle order, or
-    None. The anchors are the nodes of lowest, median and highest degree,
-    or with ``rest`` every other node in degree order."""
-    n = g.n
-    # Absorb scarce low-degree nodes first: scan neighbors in degree order.
-    order, adj = _degree_order(g)
-    first = list(dict.fromkeys((order[0], order[n // 2], order[-1])))
-    for a in [v for v in order if v not in first] if rest else first:
-        cycle = _grow_cycle(adj, n, a, budget)
-        if cycle is not None or budget[0] <= 0:
-            return cycle
-    return None
-
-
 _GROW_WIDTH = 64  # endpoint-set breadth while the path still grows
 _CLOSE_WIDTH = 1024  # breadth while hunting the closing edge
 _MAX_FRUITLESS = 64  # consecutive stalls without net path growth
@@ -364,15 +334,21 @@ def decide_hamilton(g: Graph, search_steps: int) -> bool:
     verdict = _forced_edge_verdict(g)
     if verdict is not None:
         return verdict
+    adj = g.adjacency_lists()
+    order = np.argsort(g.degrees(), kind="stable").tolist()
+    first = list(dict.fromkeys((order[0], order[n // 2], order[-1])))
     budget = [search_steps]
-    cycle = _rotation_extension(g, budget)
-    if cycle is None:
-        if not is_biconnected(g):
-            return False
-        cycle = _rotation_extension(g, budget, rest=True)
-    if cycle is not None:
-        g._cache["hamilton_cycle"] = cycle
-        return True
+    # One walk over the anchors: lowest, median and highest degree, then a
+    # cut-vertex check, then every other node in (degree, id) order.
+    for i, a in enumerate(chain(first, (v for v in order if v not in first))):
+        if budget[0] <= 0 or (i == len(first) and not is_biconnected(g)):
+            break
+        cycle = _grow_cycle(adj, n, a, budget)
+        if cycle is not None:
+            g._cache["hamilton_cycle"] = cycle
+            return True
+    if not is_biconnected(g):
+        return False  # whatever the budget left
     if n > _DP_MAX_NODES:
         if budget[0] > 0:
             spent = search_steps - budget[0]

@@ -259,11 +259,16 @@ class TestCheck:
         (Graph.star(3), ["--property", "matching"], "false"),
         (Graph.cycle(6), ["--property", "hamilton"], "true"),
         (Graph.path(5), ["--property", "hamilton"], "false"),
+        # two K_13 sharing node 0: above the subset-DP cap, but the cut
+        # vertex decides even after one search step
+        (Graph.from_edges(25, [(u, v) for half in ([0, *range(1, 13)], [0, *range(13, 25)])
+                               for i, u in enumerate(half) for v in half[i + 1:]]),
+         ["--property", "hamilton", "--search-steps", "1"], "false"),
         (Graph.complete(4), ["--property", "robust", "--k", "2"], "true"),
         (Graph.cycle(30), ["--property", "robust", "--k", "1"], "true"),
     ], ids=["c6-kconn2", "c6-kconn3", "two_pairs-kconn1", "c6-mindeg2", "p5-mindeg2",
-            "p5-matching", "star-matching", "c6-hamilton", "p5-hamilton", "k4-robust2",
-            "c30-robust1"])
+            "p5-matching", "star-matching", "c6-hamilton", "p5-hamilton",
+            "two_k13-hamilton-steps1", "k4-robust2", "c30-robust1"])
     def test_verdict(self, tmp_path, capsys, graph, flags, expected):
         assert cli.main(["check", _edge_list(tmp_path, graph), *flags]) == 0
         assert capsys.readouterr().out == expected + "\n"
@@ -309,6 +314,16 @@ class TestCheck:
         assert "inconclusive" in capsys.readouterr().err
         assert cli.main(["check", path, "--property", "hamilton"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    def test_search_steps_help_names_the_dp_cap(self, monkeypatch, capsys):
+        from riglab import hamilton
+
+        monkeypatch.setattr(hamilton, "_DP_MAX_NODES", 17)
+        with pytest.raises(SystemExit):
+            cli.main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "more than 17 nodes, the subset-DP cap" in help_text
+        assert "cut vertex is decided false whatever the budget" in help_text
 
 
 class TestPredict:

@@ -63,6 +63,18 @@ class TestGraphBasics:
         g = Graph.from_edges(5, [(3, 1), (3, 4), (3, 0), (3, 2)])
         assert list(g.neighbors(3)) == [0, 1, 2, 4]
 
+    @given(random_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_lists_in_degree_order(self, g):
+        # CSR rows stay in id order for binary search; the Python lists
+        # hold the same neighbours in (degree, id) order for the searches
+        adj = g.adjacency_lists()
+        assert len(adj) == g.n
+        for v in range(g.n):
+            row = g.neighbors(v).tolist()
+            assert row == sorted(row)
+            assert adj[v] == sorted(row, key=lambda u: (g.degree(u), u))
+
 
 class TestMinDegree:
     def test_empty_graph(self):

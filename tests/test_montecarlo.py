@@ -76,13 +76,13 @@ def test_audit_checks_the_stored_hamilton_cycle(monkeypatch, corrupt):
     # search; a cycle with one node repeated must fail the audit
     from riglab import hamilton
 
-    search = hamilton._rotation_extension
+    grow = hamilton._grow_cycle
 
-    def search_then_corrupt(g, budget):
-        cycle = search(g, budget)
-        return cycle[:-1] + [cycle[0]] if corrupt else cycle
+    def grow_then_corrupt(adj, n, start, budget):
+        cycle = grow(adj, n, start, budget)
+        return cycle[:-1] + [cycle[0]] if corrupt and cycle is not None else cycle
 
-    monkeypatch.setattr(hamilton, "_rotation_extension", search_then_corrupt)
+    monkeypatch.setattr(hamilton, "_grow_cycle", grow_then_corrupt)
     monkeypatch.setattr(montecarlo, "is_k_connected", None)  # a stored cycle is audited alone
     rec = montecarlo._run_one_trial(ErParams(200, 0.08), PropertyKind.hamilton_cycle(),
                                     montecarlo.DEFAULT_BUDGET, 7, 0)

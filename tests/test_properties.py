@@ -34,6 +34,23 @@ from oracles import (
     oracle_near_perfect_matching,
 )
 
+def _record_searches(monkeypatch):
+    """Record (lists, anchor, steps left after it) for every anchor the
+    Hamilton decision searches from."""
+    from riglab import hamilton
+
+    searches = []
+    grow = hamilton._grow_cycle
+
+    def recorded(adj, n, start, budget):
+        cycle = grow(adj, n, start, budget)
+        searches.append((adj, start, budget[0]))
+        return cycle
+
+    monkeypatch.setattr(hamilton, "_grow_cycle", recorded)
+    return searches
+
+
 # Every graph on one or two nodes.
 TINY_GRAPHS = [Graph.empty(1), Graph.empty(2), Graph.complete(2)]
 
@@ -295,20 +312,27 @@ class TestHamilton:
         (1, 196_678, "37689bff84e3286b"),
         (5, 197_318, "92b49b0edcbda7e5"),
     ])
-    def test_search_path_pinned(self, seed, left, digest):
+    def test_search_path_pinned(self, monkeypatch, seed, left, digest):
         # ER at n=2000, deviation +3: the steps the rotation search leaves
         # of its budget fix the path it took, so a rewrite of its data
         # structures must leave them, and the cycle found, unchanged
-        from riglab.hamilton import _rotation_extension
-
         n = 2000
         q = (math.log(n) + math.log(math.log(n)) + 3.0) / n
         g = sample_er(ErParams(n, q), RngStream(seed, 0))
-        budget = [200_000]
-        cycle = _rotation_extension(g, budget)
-        assert budget[0] == left
-        cycle_bytes = np.asarray(cycle, dtype=np.int64).tobytes()
+        searches = _record_searches(monkeypatch)
+        assert has_hamilton_cycle(g, DecisionBudget(search_steps=200_000))
+        assert searches[-1][2] == left
+        cycle_bytes = np.asarray(g._cache["hamilton_cycle"], dtype=np.int64).tobytes()
         assert hashlib.sha256(cycle_bytes).hexdigest()[:16] == digest
+
+    def test_search_walks_the_graph_adjacency_lists(self, monkeypatch):
+        # one neighbour list per graph: the rotation search walks the
+        # cached (degree, id)-ordered lists, not a copy of its own
+        n = 200
+        g = sample_er(ErParams(n, 3 * math.log(n) / n), RngStream(7, 0))
+        searches = _record_searches(monkeypatch)
+        assert has_hamilton_cycle(g)
+        assert searches and all(adj is g.adjacency_lists() for adj, _, _ in searches)
 
     def test_found_cycle_is_kept_and_skips_tarjan(self):
         n = 200
@@ -333,18 +357,13 @@ class TestHamilton:
     def test_cut_vertex_skips_the_remaining_anchors(self, monkeypatch):
         # two K_13 sharing node 0: the first three anchors fail, and the
         # cut vertex decides before any other anchor is tried
-        from riglab import hamilton
-
-        calls = []
-        search = hamilton._rotation_extension
-        monkeypatch.setattr(hamilton, "_rotation_extension",
-                            lambda g, budget, rest=False: calls.append(rest) or search(g, budget, rest))
+        searches = _record_searches(monkeypatch)
         halves = ([0, *range(1, 13)], [0, *range(13, 25)])
         g = Graph.from_edges(25, [
             (u, v) for half in halves for i, u in enumerate(half) for v in half[i + 1:]
         ])
         assert not has_hamilton_cycle(g)
-        assert calls == [False]
+        assert len(searches) == 3
 
     def test_inconclusive_message_names_the_cause(self):
         # K_{13,14}: biconnected, above the DP cap and without a Hamilton
@@ -362,7 +381,7 @@ class TestHamilton:
                            match="inconclusive at n=30: the step budget of 1 ran out"):
             has_hamilton_cycle(circulant, DecisionBudget(search_steps=1))
 
-    def test_search_goes_past_the_first_three_anchors(self):
+    def test_search_goes_past_the_first_three_anchors(self, monkeypatch):
         # RngStream(17, 24) at ER n=60, deviation +2: the lowest-, median-
         # and highest-degree anchors dead-end after 145 steps, but the
         # graph is Hamiltonian: the second node in degree order closes a
@@ -370,14 +389,12 @@ class TestHamilton:
         n = 60
         q = (math.log(n) + math.log(math.log(n)) + 2.0) / n
         g = sample_er(ErParams(n, q), RngStream(17, 24))
+        searches = _record_searches(monkeypatch)
         assert has_hamilton_cycle(g)
         assert is_hamilton_cycle(g, g._cache["hamilton_cycle"])
-        from riglab.hamilton import _rotation_extension
-
-        budget = [200_000]
-        assert _rotation_extension(g, budget) is None and budget[0] == 200_000 - 145
-        assert _rotation_extension(g, budget, rest=True) is not None
-        assert budget[0] == 200_000 - 145 - 87
+        order = np.argsort(g.degrees(), kind="stable").tolist()
+        assert [a for _, a, _ in searches] == [order[0], order[n // 2], order[-1], order[1]]
+        assert [left for _, _, left in searches][2:] == [200_000 - 145, 200_000 - 145 - 87]
 
     def test_cycle_check_rejects_mutations(self):
         n = 200
