@@ -34,6 +34,7 @@ from oracles import (
     oracle_near_perfect_matching,
 )
 
+
 def _record_searches(monkeypatch):
     """Record (lists, anchor, steps left after it) for every anchor the
     Hamilton decision searches from."""
@@ -321,7 +322,7 @@ class TestHamilton:
         g = sample_er(ErParams(n, q), RngStream(seed, 0))
         searches = _record_searches(monkeypatch)
         assert has_hamilton_cycle(g, DecisionBudget(search_steps=200_000))
-        assert searches[-1][2] == left
+        assert len(searches) <= 3 and searches[-1][2] == left  # one of the first anchors
         cycle_bytes = np.asarray(g._cache["hamilton_cycle"], dtype=np.int64).tobytes()
         assert hashlib.sha256(cycle_bytes).hexdigest()[:16] == digest
 
