@@ -29,7 +29,9 @@ ring of K items from a pool of P: the head of a permutation when 4K >= P,
 whole-row rejection when K(K - 1) <= 2P, and rounds of i.i.d. draws kept
 until K are distinct otherwise. The edge slots of ``G(n, q)`` take the
 permutation or the rounds as before, never rejection, so its stream stays
-as it was.
+as it was. ``build_rig`` counts shared items without a pair table: it emits
+one key per (pair, shared item) and sorts them once, so a pair shares at
+least ``s`` items iff its key repeats ``s`` times.
 """
 
 from __future__ import annotations
@@ -272,9 +274,14 @@ _DENSE_PAIR_LIMIT = 200_000_000
 def build_rig(assignment: ItemAssignment, s: int) -> Graph:
     """Edge iff two rings share at least ``s`` items.
 
-    Enumerates co-holder pairs through an item -> holders index, so cost
-    scales with actual ring overlap rather than with n^2 * K; falls back
-    to packed-bitset intersection counting when rings are dense.
+    Sorts the keys ``item * n + node``, so each item's holders form one
+    ascending run, and pairs every holder with the holder ``d`` places
+    later for d = 1, 2, ... while both still hold the same item. Each pair
+    key ``u * n + v`` then occurs once per shared item; after one sort, a
+    key occurs at least ``s`` times iff it equals the entry ``s - 1``
+    places later. Cost scales with the co-holder pairs rather than with
+    n^2 * K; when those pass ``_DENSE_PAIR_LIMIT``, the overlaps are
+    counted on packed bitsets instead.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
@@ -295,15 +302,24 @@ def build_rig(assignment: ItemAssignment, s: int) -> Graph:
         return _build_rig_dense(assignment, s)
     if pair_total == 0:
         return Graph.empty(n)
-    # Within each item segment, pair every holder with each later holder.
-    pos = np.arange(nodes.size) - np.repeat(seg_starts, seg_lens)
-    counts = np.repeat(seg_lens, seg_lens) - 1 - pos
-    left = np.repeat(np.arange(nodes.size), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
-    right = left + 1 + (np.arange(counts.sum()) - np.repeat(offsets, counts))
-    keys = nodes[left] * n + nodes[right]  # holders sorted per segment, so u < v
-    uniq, shared = np.unique(keys, return_counts=True)
-    return Graph(n, uniq[shared >= s])
+    # Pair holder i with holder i + d while both hold the same item; the
+    # active set only shrinks, and the sentinel -1 ends the last segment.
+    items = np.append(items, -1)
+    left = np.flatnonzero(items[1:-1] == items[:-2])
+    passes = []
+    d = 1
+    while left.size:
+        passes.append(nodes[left] * n + nodes[left + d])  # holders ascend, so u < v
+        d += 1
+        left = left[items[left + d] == items[left]]
+    pairs = np.concatenate(passes)
+    if pairs.size < s:
+        return Graph.empty(n)
+    pairs.sort()
+    # Keep the first entry of each run that reaches s - 1 places further.
+    head = pairs[: pairs.size - s + 1]
+    first = np.append(True, head[1:] != head[:-1])
+    return Graph(n, head[first & (head == pairs[s - 1 :])])
 
 
 def _build_rig_dense(assignment: ItemAssignment, s: int) -> Graph:

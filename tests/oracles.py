@@ -126,3 +126,9 @@ def oracle_k_robust(g: Graph, k: int) -> bool:
         if not ok:
             return False
     return True
+
+
+def oracle_rig_edges(rings, s: int) -> list[tuple[int, int]]:
+    """Pairs u < v whose rings share at least ``s`` items, by set intersection."""
+    sets = [set(r) for r in rings]
+    return [(u, v) for u, v in combinations(range(len(sets)), 2) if len(sets[u] & sets[v]) >= s]

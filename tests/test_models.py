@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+
+from oracles import oracle_rig_edges
 
 from riglab.errors import ParameterError
 from riglab.graphs import Graph
@@ -229,6 +232,26 @@ class TestDistinctRows:
         assert len(set(ring)) == 3 and all(0 <= x < 2**62 for x in ring)
 
 
+@st.composite
+def ring_sets(draw, max_n=12, max_P=10):
+    """``(P, rings)``: ragged, possibly empty rings from ``range(P)``, with
+    item 0 sometimes in every ring."""
+    P = draw(st.integers(1, max_P))
+    rings = draw(st.lists(st.sets(st.integers(0, P - 1)), min_size=1, max_size=max_n))
+    if draw(st.booleans()):
+        rings = [r | {0} for r in rings]
+    return P, [sorted(r) for r in rings]
+
+
+def _assert_rig_matches_oracle(a):
+    """``build_rig`` against pairwise set intersection for every s from 1
+    to two above the largest overlap."""
+    rings = _rings(a)
+    top = max((len(set(r) & set(q)) for i, r in enumerate(rings) for q in rings[i + 1:]), default=0)
+    for s in range(1, top + 3):
+        assert sorted(build_rig(a, s).edges()) == oracle_rig_edges(rings, s), s
+
+
 class TestBuildRig:
     def test_shared_pool_complete(self):
         a = sample_uniform_assignment(UniformRigParams(4, 2, 2), RngStream(1))
@@ -266,7 +289,34 @@ class TestBuildRig:
         p = BinomialRigParams(20, 0.4, 50, s=3)
         for i in range(5):
             a = sample_binomial_assignment(p, RngStream(6, i))
-            assert build_rig(a, 3) == _build_rig_dense(a, 3)
+            for s in (1, 2, 3):
+                assert build_rig(a, s) == _build_rig_dense(a, s)
+
+    @given(ring_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_oracle(self, case):
+        P, rings = case
+        _assert_rig_matches_oracle(ItemAssignment.from_rings(P, rings))
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(1, 10), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_binomial_matches_set_oracle(self, n, t, P, seed):
+        _assert_rig_matches_oracle(sample_binomial_assignment(BinomialRigParams(n, t, P), RngStream(seed)))
+
+    def test_item_held_by_every_node(self):
+        # One segment of n holders: the pairing runs n - 1 offsets.
+        n = 40
+        rings = [[0, 1 + v % 3] for v in range(n)]
+        a = ItemAssignment.from_rings(4, rings)
+        _assert_rig_matches_oracle(a)
+        assert build_rig(a, 1).is_complete()
+
+    def test_fewer_pair_keys_than_s(self):
+        # Four pair keys, all (0, 1): none reaches s = 5 and beyond.
+        a = ItemAssignment.from_rings(10, [[0, 1, 2, 3], [0, 1, 2, 3], [9]])
+        assert sorted(build_rig(a, 4).edges()) == [(0, 1)]
+        for s in (5, 7, 9):
+            assert build_rig(a, s).m == 0
 
     def test_uniform_edge_probability_matches_tail(self):
         # empirical edge frequency within 3 standard errors of the
