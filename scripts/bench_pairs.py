@@ -19,9 +19,10 @@ change was better, the direction of "better" being read from the change's
 pairs, the change better in at least nine tenths of them, and the medians
 further apart than the parent's quartiles. Each workload also records
 the commit checked out on each side (``git rev-parse HEAD``) and whether
-its tree had uncommitted changes (``git status --porcelain``) when the runs
-began. A workload already in the output file is replaced; the others are
-kept, so several workloads share one file.
+its tree had uncommitted changes that a run can see (``git status
+--porcelain`` of ``src/``, ``BENCHMARK.json`` and the benchmark's
+``paths``) when the runs began. A workload already in the output file is
+replaced; the others are kept, so several workloads share one file.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def checkout_state(checkout: Path) -> dict:
-    """The commit checked out in ``checkout`` and whether its tree differs from it."""
+    """The commit checked out in ``checkout`` and whether its tree differs from
+    it where a run can see: under ``src/``, in ``BENCHMARK.json`` and under the
+    benchmark's own ``paths``. Documents elsewhere leave the tree clean."""
     def git(*args):
         proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -59,7 +62,10 @@ def checkout_state(checkout: Path) -> dict:
                                f"{proc.returncode}:\n{proc.stderr}")
         return proc.stdout
 
-    return {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain"))}
+    commit = git("rev-parse", "HEAD").strip()
+    paths = json.loads((checkout / "BENCHMARK.json").read_text())["paths"]
+    return {"commit": commit,
+            "dirty": bool(git("status", "--porcelain", "--", "src", "BENCHMARK.json", *paths))}
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:

@@ -37,8 +37,8 @@ from .rng import RngStream
 _PROPERTY_NAMES = {row.cli: kind for kind, row in PROPERTIES.items()}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _fmt(x: float | None) -> str:
+    return "unspecified" if x is None else f"{x:.6g}"
 
 
 def _default_seed(explicit: int | None, config_seed: int | None) -> int:
@@ -145,14 +145,9 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _family_params_from_dict(m: dict) -> scaling.FamilyParams:
+def _family_params(m: dict) -> scaling.FamilyParams:
+    """Model parameters from a config ``model`` section or ``vars(args)``."""
     return scaling.FamilyParams(**{k: m.get(k) for k in ("n", "K", "P", "t", "q", "r")})
-
-
-def _family_params_from_args(args) -> scaling.FamilyParams:
-    return scaling.FamilyParams(
-        n=args.n, K=args.K, P=args.P, t=args.t, q=args.q, r=args.r
-    )
 
 
 def _budget_from(doc: dict | None, args, prop: PropertyKind) -> DecisionBudget:
@@ -173,7 +168,7 @@ def _first_set(*values):
 
 def _cmd_generate(args) -> int:
     family = scaling.ModelFamily.named(args.model, args.s, args.region)
-    spec = scaling.build_model_spec(family, _family_params_from_args(args))
+    spec = scaling.build_model_spec(family, _family_params(vars(args)))
     seed = _default_seed(args.seed, None)
     g = sample_model(spec, RngStream(seed, args.trial))
     if args.out:
@@ -206,49 +201,40 @@ def _cmd_predict(args) -> int:
     prop = _property_from(args.property, args.k)
     family = scaling.ModelFamily.named(args.family, args.s, args.region)
     spec = scaling.threshold_spec(family, prop)
-    have_params = args.n is not None
     doc: dict = {
         "schema": montecarlo.SCHEMA,
         "family": family.label(),
         "property": {"kind": prop.kind, "k": prop.k},
         "limit_form": spec.limit_form,
     }
-    if have_params:
-        params = _family_params_from_args(args)
+    if args.n is not None:
+        params = _family_params(vars(args))
         coupling = scaling.coupling_value(family, params)
         ctx = montecarlo.threshold_context(family, params, prop)
-        prediction = ctx.predicted_probability
+        prediction, conditions = ctx.predicted_probability, ctx.side_conditions
         doc.update({
             "coupling": coupling,
             "implied_deviation": ctx.implied_deviation,
             "predicted_probability": prediction,
             "side_conditions": [
                 {"name": c.name, "value": c.value, "ok": c.ok}
-                for c in ctx.side_conditions
+                for c in conditions
             ],
         })
         if not args.json:
             print(f"coupling: {_fmt(coupling)}")
             print(f"implied deviation: {_fmt(ctx.implied_deviation)}")
-            print("limiting probability: "
-                  + ("unspecified" if prediction is None else _fmt(prediction)))
-            for c in ctx.side_conditions:
-                print(f"side condition {c.name}: {_fmt(c.value)} "
-                      f"[{'ok' if c.ok else 'flagged'}]")
+    elif args.deviation is None:
+        raise ParameterError("predict needs --deviation or full model "
+                             "parameters with --n")
     else:
-        if args.deviation is None:
-            raise ParameterError("predict needs --deviation or full model "
-                                 "parameters with --n")
-        prediction = scaling.limiting_probability(spec, args.deviation)
-        doc.update({
-            "deviation": args.deviation,
-            "predicted_probability": prediction,
-        })
-        if not args.json:
-            print("limiting probability: "
-                  + ("unspecified" if prediction is None else _fmt(prediction)))
+        prediction, conditions = scaling.limiting_probability(spec, args.deviation), ()
+        doc.update(deviation=args.deviation, predicted_probability=prediction)
     if args.json:
         print(json.dumps(doc, indent=2))
+    else:
+        print(f"limiting probability: {_fmt(prediction)}")
+        _print_side_conditions(conditions)
     return 0
 
 
@@ -260,10 +246,11 @@ def _cmd_solve(args) -> int:
     if args.n is None:
         raise ParameterError("solve needs --n")
     result = scaling.solve_param(
-        family, prop, args.n, args.deviation, _family_params_from_args(args)
+        family, prop, args.n, args.deviation, _family_params(vars(args))
     )
     spec = scaling.threshold_spec(family, prop)
-    best = result.best()
+    limits = [scaling.limiting_probability(spec, c.implied_deviation)
+              for c in result.candidates]
     if args.json:
         print(json.dumps({
             "schema": montecarlo.SCHEMA,
@@ -277,21 +264,20 @@ def _cmd_solve(args) -> int:
                 {
                     "value": c.value,
                     "implied_deviation": c.implied_deviation,
-                    "predicted_probability": scaling.limiting_probability(
-                        spec, c.implied_deviation),
+                    "predicted_probability": limit,
                 }
-                for c in result.candidates
+                for c, limit in zip(result.candidates, limits)
             ],
         }, indent=2))
         return 0
     print(f"{result.param} = {_fmt(result.real_value)}"
           + (" (clamped)" if result.clamped else ""))
-    for c in result.candidates:
-        pred = scaling.limiting_probability(spec, c.implied_deviation)
+    best = result.best()
+    for c, limit in zip(result.candidates, limits):
         mark = " *" if c == best else ""
         print(f"  candidate {result.param} = {_fmt(c.value)}: "
               f"implied deviation {_fmt(c.implied_deviation)}, "
-              f"limit {'unspecified' if pred is None else _fmt(pred)}{mark}")
+              f"limit {_fmt(limit)}{mark}")
     return 0
 
 
@@ -337,7 +323,7 @@ def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
     family = scaling.ModelFamily.named(
         model_doc.get("family"), _first_set(model_doc.get("s"), 1), model_doc.get("region")
     )
-    params = _family_params_from_dict(model_doc)
+    params = _family_params(model_doc)
     deviation = doc.get("solve", {}).get("deviation")
     out = doc.get("output", {})
     json_path = _first_set(args.summary, out.get("summary"))
@@ -367,6 +353,11 @@ def _resolve_experiment(args, need_sweep: bool) -> _Experiment:
     return _Experiment(**common, deviation=deviation or 0.0, axis=axis, values=values)
 
 
+def _print_side_conditions(conditions) -> None:
+    for c in conditions:
+        print(f"side condition {c.name}: {_fmt(c.value)} [{'ok' if c.ok else 'flagged'}]")
+
+
 def _print_summary(summary) -> None:
     print(f"model: {summary.model}")
     print(f"property: {summary.prop.label()}")
@@ -376,12 +367,10 @@ def _print_summary(summary) -> None:
           f"(wilson95 [{_fmt(lo)}, {_fmt(hi)}])")
     ctx = summary.threshold
     if ctx is not None:
+        why = " (zero-one law at finite deviation)" if ctx.predicted_probability is None else ""
         print(f"implied deviation: {_fmt(ctx.implied_deviation)}")
-        print("predicted limit: " + (
-            "unspecified (zero-one law at finite deviation)"
-            if ctx.predicted_probability is None else _fmt(ctx.predicted_probability)))
-        for c in ctx.side_conditions:
-            print(f"side condition {c.name}: {_fmt(c.value)} [{'ok' if c.ok else 'flagged'}]")
+        print(f"predicted limit: {_fmt(ctx.predicted_probability)}{why}")
+        _print_side_conditions(ctx.side_conditions)
     bad = {k: v for k, v in summary.audit_violations.items() if v}
     print(f"audit violations: {bad if bad else 'none'}")
 
@@ -407,7 +396,7 @@ def _cmd_experiment(args) -> int:
     if run.csv_path:
         montecarlo.write_trials_csv(result.records, run.csv_path, timing=run.timing)
     if run.json_path:
-        montecarlo.write_summary_json(result.summary, run.json_path)
+        montecarlo.write_json(montecarlo.summary_to_json_dict(result.summary), run.json_path)
     _print_summary(result.summary)
     return 0
 
@@ -428,18 +417,15 @@ def _cmd_sweep(args) -> int:
         s = pt.summary
         lo, hi = s.wilson_95
         pred = s.threshold.predicted_probability  # every sweep point solves its law
-        pred = "unspecified" if pred is None else _fmt(pred)
         print(f"{axis}={_fmt(pt.value)}: empirical {_fmt(s.empirical_probability)} "
-              f"wilson95 [{_fmt(lo)}, {_fmt(hi)}] predicted {pred}")
+              f"wilson95 [{_fmt(lo)}, {_fmt(hi)}] predicted {_fmt(pred)}")
         rows.append({
             "axis": axis, "value": pt.value,
             "summary": montecarlo.summary_to_json_dict(s),
         })
     if run.json_path:
-        with open(run.json_path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump({"schema": montecarlo.SCHEMA, "label": run.label, "points": rows},
-                      fh, indent=2)
-            fh.write("\n")
+        montecarlo.write_json({"schema": montecarlo.SCHEMA, "label": run.label, "points": rows},
+                              run.json_path)
     return 0
 
 

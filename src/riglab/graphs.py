@@ -7,6 +7,9 @@ in CSR arrays whose rows are sorted by id, so membership tests
 binary-search a node's row; :meth:`Graph.adjacency_lists`, the one Python
 adjacency every search walks, lists each node's neighbours in
 (degree, id) order instead.
+
+The searches every other module asks of a graph live here too, on that
+adjacency: connectivity, the components and the cut-vertex test.
 """
 
 from __future__ import annotations
@@ -173,26 +176,24 @@ def intersect_graphs(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n, keys)
 
 
+def _reach(adj: list[list[int]], seen: bytearray, s: int) -> list[int]:
+    """The block of ``s``: every node reachable from it, marked in ``seen``
+    as found. The block list is the search queue, walked while it grows."""
+    seen[s] = 1
+    block = [s]
+    for x in block:
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = 1
+                block.append(y)
+    return block
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    """Partition of nodes into maximal connected blocks (BFS)."""
+    """Partition of nodes into maximal connected blocks, each sorted."""
     adj = g.adjacency_lists()
     seen = bytearray(g.n)
-    blocks: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        queue = [s]
-        block = [s]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-                    block.append(y)
-        blocks.append(sorted(block))
-    return blocks
+    return [sorted(_reach(adj, seen, s)) for s in range(g.n) if not seen[s]]
 
 
 def is_connected(g: Graph) -> bool:
@@ -200,20 +201,57 @@ def is_connected(g: Graph) -> bool:
     so the decisions and the trial loop that ask again search only once."""
     conn = g._cache.get("connected")
     if conn is None:
-        adj = g.adjacency_lists()
-        seen = bytearray(g.n)
-        seen[0] = 1
-        queue = [0]
-        count = 1
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    queue.append(y)
-        conn = g._cache["connected"] = count == g.n
+        conn = g._cache["connected"] = (
+            len(_reach(g.adjacency_lists(), bytearray(g.n), 0)) == g.n)
     return conn
+
+
+def is_biconnected(g: Graph) -> bool:
+    """At least 3 nodes, minimum degree >= 2, connected and no cut vertex.
+    The answer is cached on ``g``, as :func:`is_connected` caches its own."""
+    bic = g._cache.get("biconnected")
+    if bic is None:
+        bic = g._cache["biconnected"] = (
+            g.n >= 3 and g.min_degree() >= 2 and is_connected(g)
+            and articulation_free(g.adjacency_lists(), g.n)
+        )
+    return bic
+
+
+def articulation_free(adj: list[list[int]], n: int) -> bool:
+    """True iff the (connected) graph has no cut vertex; iterative Tarjan."""
+    disc = [-1] * n
+    low = [0] * n
+    ptr = [0] * n
+    parent = [-1] * n
+    root = 0
+    disc[root] = low[root] = 0
+    timer = 1
+    stack = [root]
+    root_children = 0
+    while stack:
+        v = stack[-1]
+        if ptr[v] < len(adj[v]):
+            w = adj[v][ptr[v]]
+            ptr[v] += 1
+            if disc[w] == -1:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                if v == root:
+                    root_children += 1
+                stack.append(w)
+            elif w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if u != root and low[v] >= disc[u]:
+                    return False
+    return root_children <= 1
 
 
 # -- edge-list text format -------------------------------------------

@@ -14,9 +14,9 @@ returns certified answers:
    until one closes into an explicit cycle, kept on the graph as
    ``g._cache["hamilton_cycle"]`` for :func:`is_hamilton_cycle` to audit.
    One walk visits the anchors: the nodes of lowest, median and highest
-   degree; then certified False on a cut vertex, checked even when those
-   anchors spent the budget; then every other node in (degree, id) order,
-   within the same steps,
+   degree; then certified False on a cut vertex (``graphs.is_biconnected``),
+   checked even when those anchors spent the budget; then every other node
+   in (degree, id) order, within the same steps,
 5. up to ``_DP_MAX_NODES`` nodes, the Bondy-Chvatal closure and then
    subset dynamic programming over (visited-set, endpoint) states decide
    exactly; above it the pipeline raises ``BudgetExceeded`` - never a guess.
@@ -36,60 +36,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetExceeded
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_biconnected, is_connected
 
 _DP_STATE_LIMIT = 1 << 21  # subset-DP states summed over all layers
 _DP_MAX_NODES = 24  # closure and DP keep n-bit masks and up to 2**n states
-
-
-def is_biconnected(g: Graph) -> bool:
-    """At least 3 nodes, minimum degree >= 2, connected and no cut vertex.
-    The answer is cached on ``g``, as :func:`is_connected` caches its own."""
-    bic = g._cache.get("biconnected")
-    if bic is None:
-        bic = g._cache["biconnected"] = (
-            g.n >= 3 and g.min_degree() >= 2 and is_connected(g)
-            and articulation_free(g.adjacency_lists(), g.n)
-        )
-    return bic
-
-
-def articulation_free(adj: list[list[int]], n: int) -> bool:
-    """True iff the (connected) graph has no cut vertex; iterative Tarjan."""
-    if n <= 2:
-        return True
-    disc = [-1] * n
-    low = [0] * n
-    ptr = [0] * n
-    parent = [-1] * n
-    root = 0
-    disc[root] = low[root] = 0
-    timer = 1
-    stack = [root]
-    root_children = 0
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(adj[v]):
-            w = adj[v][ptr[v]]
-            ptr[v] += 1
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == root:
-                    root_children += 1
-                stack.append(w)
-            elif w != parent[v] and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if u != root and low[v] >= disc[u]:
-                    return False
-    return root_children <= 1
 
 
 def _forced_edge_verdict(g: Graph) -> bool | None:

@@ -401,7 +401,8 @@ def summary_to_json_dict(summary: ExperimentSummary) -> dict:
     }
 
 
-def write_summary_json(summary: ExperimentSummary, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """``doc`` as indented JSON and a final newline: the summary and sweep files."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(summary_to_json_dict(summary), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -15,16 +15,17 @@ the ln ln n coefficient and limit form of its zero-one law, decision
 procedure) is :data:`PROPERTIES`, one row per property kind, which every
 function here, the threshold laws, the summaries and the command line read.
 
-k-connectivity uses dedicated linear-time procedures for k=1 (search) and
-k=2 (cut vertices) and, for k >= 3, unit-capacity max-flow decisions that
-all run on one split digraph built once per decision, each augmenting path
-coming from a search that grows from both ends of the flow until the two
-sides meet. k-robustness is settled by exact stages (components, k = 1,
-minimum degree) and otherwise by one exact feasibility MILP whose
-solution, when there is one, is checked as a failing subset. The
-exponential checkers raise ``BudgetExceeded`` instead of guessing:
-Hamilton's past its :class:`DecisionBudget` search and its subset-DP node
-cap, robustness past a fixed number of branch-and-bound nodes.
+k-connectivity uses the linear-time searches of :mod:`riglab.graphs` for
+k=1 (:func:`is_connected`) and k=2 (the cut-vertex test :func:`is_biconnected`)
+and, for k >= 3, unit-capacity max-flow decisions that all run on one split
+digraph built once per decision, each augmenting path coming from a search
+that grows from both ends of the flow until the two sides meet.
+k-robustness is settled by exact stages (components, k = 1, minimum
+degree) and otherwise by one exact feasibility MILP whose solution, when
+there is one, is checked as a failing subset. The exponential checkers
+raise ``BudgetExceeded`` instead of guessing: Hamilton's past its
+:class:`DecisionBudget` search and its subset-DP node cap, robustness past
+a fixed number of branch-and-bound nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import hamilton as _hamilton
 from .errors import BudgetExceeded, ParameterError
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, connected_components, is_biconnected, is_connected
 from .matching import has_near_perfect_matching, max_matching_size  # re-exported
 
 MIN_DEGREE = "min_degree"
@@ -289,7 +290,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.min_degree() < k:
         return False
     if k == 2:
-        return _hamilton.is_biconnected(g)
+        return is_biconnected(g)
     if not is_connected(g):
         return False
     # Esfahanian-Hakimi: with v of minimum degree it suffices to check

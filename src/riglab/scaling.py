@@ -140,11 +140,6 @@ class FamilyParams:
     q: float | None = None
     r: float | None = None
 
-    def require(self, *names: str) -> None:
-        missing = [x for x in names if getattr(self, x) is None]
-        if missing:
-            raise ParameterError(f"missing parameter(s) {missing} for this family")
-
 
 @dataclass(frozen=True)
 class SideCondition:
@@ -362,8 +357,11 @@ def limiting_probability(spec: ThresholdSpec, deviation: float) -> float | None:
     """Limit of P[property] when the deviation sequence tends to ``deviation``.
 
     Returns None where the law specifies no value (finite deviations of
-    zero-one-only laws; a geometric constant exactly 1).
+    zero-one-only laws; a geometric constant exactly 1). A NaN deviation
+    raises :class:`ParameterError`.
     """
+    if math.isnan(deviation):
+        raise ParameterError("deviation must be a number, got nan")
     if spec.limit_form in (RGG_TORUS, RGG_SQUARE):
         if deviation < 1.0:
             return 0.0
@@ -426,7 +424,7 @@ def binomial_overlap_tail(t: float, P: int, s: int) -> float:
 def exact_edge_probability(family: ModelFamily, params: FamilyParams) -> float:
     """Finite-n edge probability; compositions multiply their parts."""
     row = FAMILIES[family.kind]
-    params.require(*row.needs)
+    build_model_spec(family, params)
     if isinstance(row.model, tuple):
         return math.prod(
             FAMILIES[part].edge_probability(family, params) for part in row.model
@@ -435,10 +433,11 @@ def exact_edge_probability(family: ModelFamily, params: FamilyParams) -> float:
 
 
 def coupling_value(family: ModelFamily, params: FamilyParams) -> float:
+    """The family's coupling; ``params`` must pass its sampler spec's checks."""
     row = FAMILIES[family.kind]
     if row.coupling is None:
         raise ParameterError(f"{family.label()} has no threshold law")
-    params.require(*row.needs)
+    build_model_spec(family, params)
     return row.coupling(family, params)
 
 
@@ -515,9 +514,12 @@ def solve_param(
     rounded (integer K) or clamped candidates, each annotated with the
     deviation it actually implies; downstream predictions must use those
     implied deviations. Targets below the achievable minimum clamp to the
-    smallest valid parameter; targets above the achievable maximum (q or t
-    past 1, K past P) raise :class:`ParameterError`.
+    smallest valid parameter. A NaN deviation, parameters the sampler spec
+    rejects and targets above the achievable maximum (q or t past 1, K past
+    P) raise :class:`ParameterError`.
     """
+    if math.isnan(deviation):
+        raise ParameterError("deviation must be a number, got nan")
     fixed = replace(fixed, n=n)
     row = FAMILIES[family.kind]
     free = list(row.inverse)
@@ -530,8 +532,8 @@ def solve_param(
             f"{family.label()} solve needs exactly one of {list(row.inverse)} free"
         )
     name = free[0]
-    fixed.require(*(x for x in row.needs if x != name))
     lo, hi = _bounds(name, family, fixed)
+    build_model_spec(family, replace(fixed, **{name: lo}))
     c = _target_coupling(family, prop, n, deviation, fixed)
     # q = 0 meets a zero target exactly; K, t and r take a non-positive
     # target to their lowest value and report it as clamped.
@@ -587,7 +589,9 @@ def build_model_spec(family: ModelFamily, params: FamilyParams) -> ModelSpec:
     its parts on one node set and intersects their edges, an ER part acting
     as an independent edge filter."""
     row = FAMILIES[family.kind]
-    params.require(*row.needs)
+    missing = [x for x in row.needs if getattr(params, x) is None]
+    if missing:
+        raise ParameterError(f"missing parameter(s) {missing} for this family")
     if isinstance(row.model, tuple):
         return IntersectionSpec(tuple(
             _sampler_spec(FAMILIES[part].model, family, params) for part in row.model

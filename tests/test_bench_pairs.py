@@ -111,14 +111,25 @@ def _repo(path, text):
 
 
 class TestCheckouts:
-    BENCH = json.dumps({"run_seconds": 15, "end_to_end": [
+    BENCH = json.dumps({"run_seconds": 15, "paths": ["perfbench"], "end_to_end": [
         {"name": "trials_per_s", "better": "higher"}]})
 
     def test_commit_and_dirty_tree(self, tmp_path):
-        head = _repo(tmp_path / "r", self.BENCH)
-        assert bench_pairs.checkout_state(tmp_path / "r") == {"commit": head, "dirty": False}
-        (tmp_path / "r" / "untracked").write_text("x")
-        assert bench_pairs.checkout_state(tmp_path / "r") == {"commit": head, "dirty": True}
+        repo = tmp_path / "r"
+        head = _repo(repo, self.BENCH)
+        assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": False}
+        (repo / "ISSUE.md").write_text("x")  # a document no run reads
+        assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": False}
+        (repo / "src").mkdir()
+        (repo / "src" / "x.py").write_text("x")
+        assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": True}
+
+    def test_benchmark_paths_count_as_dirty(self, tmp_path):
+        repo = tmp_path / "r"
+        head = _repo(repo, self.BENCH)
+        (repo / "perfbench").mkdir()
+        (repo / "perfbench" / "run.py").write_text("x")
+        assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": True}
 
     def test_not_a_checkout(self, tmp_path):
         with pytest.raises(RuntimeError, match="rev-parse"):

@@ -150,6 +150,50 @@ class TestExitCodes:
         assert "no hamilton_cycle law for urig_er" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "--family", "urig", "--property", "kconn", "--n", "500", "--P", "5000",
+          "--deviation", "nan"], "deviation must be a number"),
+        (["solve", "--family", "er", "--property", "kconn", "--n", "100",
+          "--deviation", "nan"], "deviation must be a number"),
+        (["predict", "--family", "er", "--property", "kconn", "--deviation", "nan"],
+         "deviation must be a number"),
+        (["predict", "--family", "er", "--property", "kconn", "--n", "100", "--q", "1.5"],
+         "q must lie in [0, 1]"),
+        (["predict", "--family", "er", "--property", "kconn", "--n", "100", "--q", "nan"],
+         "q must lie in [0, 1]"),
+        (["predict", "--family", "brig", "--property", "kconn", "--n", "100", "--t", "2",
+          "--P", "100"], "t must lie in [0, 1]"),
+        (["predict", "--family", "urig", "--property", "kconn", "--n", "100", "--K", "5",
+          "--P", "0"], "need 1 <= s <= K <= P"),
+        (["solve", "--family", "brig", "--property", "kconn", "--n", "100", "--P", "0",
+          "--deviation", "1"], "P must be >= 1"),
+    ], ids=["solve_urig_nan", "solve_er_nan", "predict_nan", "predict_q_past_one",
+            "predict_q_nan", "predict_t_past_one", "predict_empty_pool", "solve_empty_pool"])
+    def test_law_query_rejected(self, capsys, argv, named):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    def test_nan_solve_deviation_in_config(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, trials=2, workers=1, property=KCONN,
+                            model={"family": "urig", "n": 50, "P": 1000},
+                            solve={"deviation": float("nan")})
+        assert cli.main(["experiment", "-c", cfg]) == 2
+        assert "deviation must be a number" in capsys.readouterr().err
+
+    def test_nan_sweep_point_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        cfg = _write_config(tmp_path, trials=2, workers=1, property=KCONN,
+                            model={"family": "urig", "n": 50, "P": 1000},
+                            sweep={"axis": "deviation", "values": [0, float("nan")]},
+                            output={"summary": str(out)})
+        assert cli.main(["sweep", "-c", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("deviation=0: empirical")
+        assert lines[1] == "deviation=nan: error: ParameterError: deviation must be a number, got nan"
+        points = json.loads(out.read_text())["points"]
+        assert "summary" in points[0] and "deviation must be a number" in points[1]["error"]
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["experiment", "-c", str(tmp_path / "absent.json")]) == 4
 
@@ -404,7 +448,7 @@ class TestGenerate:
         args = cli.build_parser().parse_args(["generate", "--model", family, "--n", "12", *flags])
         built = scaling.build_model_spec(
             scaling.ModelFamily.named(family, args.s, args.region),
-            cli._family_params_from_args(args),
+            cli._family_params(vars(args)),
         )
         assert built == spec
 

@@ -8,6 +8,7 @@ from riglab.graphs import (
     connected_components,
     from_edge_list_text,
     intersect_graphs,
+    is_biconnected,
     is_connected,
     to_edge_list_text,
 )
@@ -155,6 +156,62 @@ class TestComponents:
         nodes = sorted(v for b in blocks for v in b)
         assert nodes == list(range(g.n))
         assert is_connected(g) == (len(blocks) == 1)
+
+
+class TestAgainstNetworkx:
+    """Seeded graphs up to n = 200, near the connectivity thresholds and
+    glued at one node, against networkx's own searches."""
+
+    @staticmethod
+    def _graphs():
+        from riglab.models import ErParams, UniformRigParams, sample_model
+        from riglab.rng import RngStream
+
+        gen = np.random.default_rng(18)
+        for i in range(90):
+            n = int(gen.integers(3, 201))
+            c = float(gen.uniform(-1.0, 4.0))  # (ln n + c)/n edge probability
+            p = min((np.log(n) + c) / n, 1.0)
+            if i % 3 == 0:
+                yield sample_model(ErParams(n, p), RngStream(18, i))
+            elif i % 3 == 1:
+                P = 10 * n
+                K = max(1, int(round(np.sqrt(p * P))))
+                yield sample_model(UniformRigParams(n, K, P, 1), RngStream(18, i))
+            else:
+                # Two blocks sharing node a - 1, relabelled: a cut vertex at
+                # a minimum degree of 2 or more, which only Tarjan's pass sees.
+                a = int(gen.integers(3, n // 2 + 2))
+                b = n - a + 1
+                g1 = sample_model(ErParams(a, min(6 / a, 1.0)), RngStream(18, i))
+                g2 = sample_model(ErParams(b, min(6 / b, 1.0)), RngStream(19, i))
+                u1, v1 = np.divmod(g1.edge_keys(), a)
+                u2, v2 = np.divmod(g2.edge_keys(), b)
+                perm = gen.permutation(n)
+                yield Graph.from_edge_arrays(n, perm[np.concatenate([u1, u2 + a - 1])],
+                                             perm[np.concatenate([v1, v2 + a - 1])])
+
+    def test_biconnected_and_components(self):
+        nx = pytest.importorskip("networkx")
+        seen = {"disconnected": 0, "cut vertex": 0, "cut vertex, min degree >= 2": 0,
+                "biconnected": 0}
+        for g in self._graphs():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            blocks = connected_components(g)
+            assert sorted(v for b in blocks for v in b) == list(range(g.n))
+            assert blocks == sorted(sorted(c) for c in nx.connected_components(h))
+            assert is_connected(g) == (len(blocks) == 1) == nx.is_connected(h)
+            assert is_biconnected(g) == nx.is_biconnected(h), g
+            if len(blocks) > 1:
+                seen["disconnected"] += 1
+            elif is_biconnected(g):
+                seen["biconnected"] += 1
+            else:
+                seen["cut vertex"] += 1
+                seen["cut vertex, min degree >= 2"] += g.min_degree() >= 2
+        assert all(seen.values()), seen
 
 
 class TestEdgeListFormat:

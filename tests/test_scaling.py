@@ -211,6 +211,12 @@ class TestLimitingProbability:
         assert limiting_probability(spec, 2.0) == 1.0
         assert limiting_probability(spec, 1.0) is None
 
+    def test_nan_deviation(self):
+        for fam, prop in ((ModelFamily.er(), PM), (ModelFamily.er(), ROBUST2),
+                          (ModelFamily.uniform_rig_rgg("torus"), KCONN1)):
+            with pytest.raises(ParameterError, match="deviation must be a number"):
+                limiting_probability(threshold_spec(fam, prop), math.nan)
+
     def test_poisson_k1_equals_gumbel(self):
         pois = threshold_spec(ModelFamily.er(), KCONN1)
         gum = threshold_spec(ModelFamily.er(), PM)
@@ -465,6 +471,22 @@ class TestSolveBounds:
         rgg = solve_param(ModelFamily.uniform_rig_rgg("torus"), KCONN1, n, 0.0,
                           FamilyParams(n=n, K=10, P=1000))
         assert (rgg.real_value, rgg.clamped) == (0.0, True)
+
+    @pytest.mark.parametrize("family, fixed", [
+        (ModelFamily.er(), FamilyParams(n=100)),
+        (ModelFamily.uniform_rig(1), FamilyParams(n=100, P=1000)),
+        (ModelFamily.uniform_rig_rgg("square"), FamilyParams(n=100, K=5, P=500)),
+    ], ids=["er", "urig", "urig_rgg"])
+    def test_nan_deviation(self, family, fixed):
+        with pytest.raises(ParameterError, match="deviation must be a number"):
+            solve_param(family, KCONN1, 100, math.nan, fixed)
+
+    def test_fixed_params_pass_the_sampler_checks(self):
+        with pytest.raises(ParameterError, match="P must be >= 1"):
+            solve_param(ModelFamily.binomial_rig(1), KCONN1, 100, 1.0, FamilyParams(n=100, P=0))
+        with pytest.raises(ParameterError, match="q must lie in"):
+            solve_param(ModelFamily.uniform_rig_er(1), KCONN1, 100, 1.0,
+                        FamilyParams(n=100, P=1000, q=1.5))
 
     def test_integer_K_candidates(self):
         res = solve_param(ModelFamily.uniform_rig_er(1), KCONN1, 2000, -30.0,
