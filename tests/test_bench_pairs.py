@@ -118,7 +118,7 @@ class TestCheckouts:
         repo = tmp_path / "r"
         head = _repo(repo, self.BENCH)
         assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": False}
-        (repo / "ISSUE.md").write_text("x")  # a document no run reads
+        (repo / "NOTES.md").write_text("x")  # a document no run reads
         assert bench_pairs.checkout_state(repo) == {"commit": head, "dirty": False}
         (repo / "src").mkdir()
         (repo / "src" / "x.py").write_text("x")
