@@ -231,7 +231,7 @@ def _cmd_predict(args) -> int:
         prediction, conditions = scaling.limiting_probability(spec, args.deviation), ()
         doc.update(deviation=args.deviation, predicted_probability=prediction)
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(montecarlo.json_text(doc))
     else:
         print(f"limiting probability: {_fmt(prediction)}")
         _print_side_conditions(conditions)
@@ -252,7 +252,7 @@ def _cmd_solve(args) -> int:
     limits = [scaling.limiting_probability(spec, c.implied_deviation)
               for c in result.candidates]
     if args.json:
-        print(json.dumps({
+        print(montecarlo.json_text({
             "schema": montecarlo.SCHEMA,
             "family": family.label(),
             "property": {"kind": prop.kind, "k": prop.k},
@@ -268,7 +268,7 @@ def _cmd_solve(args) -> int:
                 }
                 for c, limit in zip(result.candidates, limits)
             ],
-        }, indent=2))
+        }))
         return 0
     print(f"{result.param} = {_fmt(result.real_value)}"
           + (" (clamped)" if result.clamped else ""))

@@ -401,8 +401,24 @@ def summary_to_json_dict(summary: ExperimentSummary) -> dict:
     }
 
 
+def _finite_or_none(x):
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _finite_or_none(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_none(v) for v in x]
+    return x
+
+
+def json_text(doc: dict) -> str:
+    """``doc`` as indented strict JSON (RFC 8259): an infinite or NaN float
+    is written as ``null``, and ``allow_nan=False`` raises on any that slips
+    past the mapping."""
+    return json.dumps(_finite_or_none(doc), indent=2, allow_nan=False)
+
+
 def write_json(doc: dict, path) -> None:
-    """``doc`` as indented JSON and a final newline: the summary and sweep files."""
+    """``doc`` as :func:`json_text` and a final newline: the summary and sweep files."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")

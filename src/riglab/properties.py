@@ -17,7 +17,11 @@ function here, the threshold laws, the summaries and the command line read.
 
 k-connectivity uses the linear-time searches of :mod:`riglab.graphs` for
 k=1 (:func:`is_connected`) and k=2 (the cut-vertex test :func:`is_biconnected`)
-and, for k >= 3, unit-capacity max-flow decisions that all run on one split
+and, for k >= 3, the Esfahanian-Hakimi pair set, in which a local form of
+the expansion lemma (West, *Introduction to Graph Theory*, Lemma 4.2.3)
+settles most pairs without a search: a node with k neighbours among nodes
+already k-connected to the min-degree node is k-connected to it too. The
+pairs left are unit-capacity max-flow decisions that all run on one split
 digraph built once per decision, each augmenting path coming from a search
 that grows from both ends of the flow until the two sides meet.
 k-robustness is settled by exact stages (components, k = 1, minimum
@@ -275,8 +279,14 @@ class _SplitDigraph:
 def is_k_connected(g: Graph, k: int) -> bool:
     """Vertex connectivity at least k (kappa(K_n) = n-1 by convention).
 
-    For k >= 3 one split digraph is built per decision and every Menger
-    flow of the Esfahanian-Hakimi pair set runs on it.
+    For k >= 3 one split digraph is built per decision, and the Menger
+    flows of the Esfahanian-Hakimi pair set run on it, those from the
+    min-degree node v only where the expansion lemma leaves the pair open.
+    Let R hold v, its neighbours and every node proved k-connected to v.
+    A node w outside R with k neighbours in R is k-connected to v: a
+    separator S with |S| < k misses one of them, u, which lies on w's side
+    of G - S, and either v-u-w avoids S (u a neighbour of v) or S also
+    separates v from u, against kappa(v, u) >= k.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -295,16 +305,28 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     # Esfahanian-Hakimi: with v of minimum degree it suffices to check
     # local connectivity from v to its non-neighbors and between
-    # non-adjacent pairs of its neighbors.
+    # non-adjacent pairs of its neighbors. A node with k neighbours in R
+    # joins R unflowed (the lemma in the docstring).
     adj = g.adjacency_lists()
     net = _SplitDigraph(adj, n)
-    degs = g.degrees()
-    v = int(degs.argmin())
-    vset = set(adj[v])
+    v = int(g.degrees().argmin())
+    in_r = bytearray(n)
+    in_r_nbrs = [0] * n
+    fresh = [v, *adj[v]]  # in R, neighbours not yet counted
+    for x in fresh:
+        in_r[x] = 1
     for w in range(n):
-        if w != v and w not in vset:
+        while fresh:
+            for y in adj[fresh.pop()]:
+                in_r_nbrs[y] += 1
+                if in_r_nbrs[y] == k and not in_r[y]:
+                    in_r[y] = 1
+                    fresh.append(y)
+        if not in_r[w]:
             if not net.flow_at_least(v, w, k):
                 return False
+            in_r[w] = 1
+            fresh.append(w)
     nbrs = adj[v]
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:

@@ -22,6 +22,15 @@ from riglab.rng import RngStream
 from conftest import assert_violates_robustness
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _strict_json(text):
+    """RFC 8259 JSON: the bare tokens ``Infinity`` and ``NaN`` raise."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def _write_config(tmp_path, **doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema": SCHEMA, **doc}))
@@ -191,8 +200,9 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("deviation=0: empirical")
         assert lines[1] == "deviation=nan: error: ParameterError: deviation must be a number, got nan"
-        points = json.loads(out.read_text())["points"]
+        points = _strict_json(out.read_text())["points"]
         assert "summary" in points[0] and "deviation must be a number" in points[1]["error"]
+        assert points[1]["value"] is None
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["experiment", "-c", str(tmp_path / "absent.json")]) == 4
@@ -381,6 +391,13 @@ class TestPredict:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == SCHEMA
         assert 0.0 < doc["predicted_probability"] < 1.0
+
+    @pytest.mark.parametrize("deviation, limit", [("inf", 1.0), ("-inf", 0.0)])
+    def test_json_infinite_deviation_is_null(self, capsys, deviation, limit):
+        assert cli.main(["predict", "--family", "er", "--property", "kconn",
+                         f"--deviation={deviation}", "--json"]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["deviation"] is None and doc["predicted_probability"] == limit
 
 
 class TestGeometricRegionDefault:

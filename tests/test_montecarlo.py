@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from riglab import cli, montecarlo, scaling
@@ -131,3 +133,13 @@ def test_every_row_is_a_check_property(kind, tmp_path, capsys):
     write_edge_list(Graph.cycle(6), str(path))
     assert cli.main(["check", str(path), "--property", PROPERTIES[kind].cli]) == 0
     assert capsys.readouterr().out.splitlines()[0] in ("true", "false")
+
+
+def test_json_text_is_strict_and_keeps_finite_documents():
+    inf, nan = float("inf"), float("nan")
+    doc = {"a": 1.5, "b": [0, inf, (nan, True)], "c": {"d": -inf, "e": None, "f": "x"}}
+    assert montecarlo.json_text(doc) == json.dumps(
+        {"a": 1.5, "b": [0, None, [None, True]], "c": {"d": None, "e": None, "f": "x"}},
+        indent=2)
+    finite = {"schema": montecarlo.SCHEMA, "p": [0.25, 1e-300, 3], "q": {"r": -2.0}}
+    assert montecarlo.json_text(finite) == json.dumps(finite, indent=2)

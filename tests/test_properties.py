@@ -169,6 +169,24 @@ class TestKConnected:
         assert not is_k_connected(g, k)
         assert is_k_connected(g, k - 1)
 
+    def test_expansion_lemma_spares_most_flows(self, monkeypatch):
+        # The kconn3 benchmark graphs: ER at n = 300, k = 3, deviation +5.
+        # Flowing v to every non-neighbour takes about 300 flows; nodes with
+        # k neighbours already known k-connected to v need none.
+        n, k = 300, 3
+        q = (math.log(n) + (k - 1) * math.log(math.log(n)) + 5) / n
+        g = sample_er(ErParams(n, q), RngStream(41, 0))
+        calls = []
+        flow = _SplitDigraph.flow_at_least
+
+        def counted(self, s, t, k):
+            calls.append((s, t))
+            return flow(self, s, t, k)
+
+        monkeypatch.setattr(_SplitDigraph, "flow_at_least", counted)
+        assert is_k_connected(g, k)
+        assert 0 < len(calls) <= 60
+
     def test_flow_cancels_an_earlier_path(self):
         # s-a-b-t is the unique shortest path, and the only two disjoint
         # paths are s-c-e-b-t and s-a-d-f-t, so the second augmenting path
@@ -475,6 +493,39 @@ class TestNetworkxCrossCheck:
             assert got == kappa, (n, i)
             seen.add(got)
         assert len(seen) >= 3
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_planted_separator_under_relabelling(self, k):
+        # Two random blocks joined only through a separator of k - 1 nodes,
+        # plus up to three cross edges that may break the cut; the nodes are
+        # then relabelled at random, so the min-degree node v and the
+        # separator fall anywhere in the id order the flows walk. A node
+        # with k - 1 neighbours in the set proved k-connected to v is not
+        # settled: the separator nodes can be k - 1 such neighbours.
+        nx = pytest.importorskip("networkx")
+        rng = RngStream(939, k).generator()
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(30, 81))
+            sep = list(range(k - 1))
+            cut = int(rng.integers(k + 9, n - 9))
+            blocks = (range(k - 1, cut), range(cut, n))
+            p_block, p_sep = rng.uniform(0.25, 0.5), rng.uniform(0.3, 0.9)
+            edges = set()
+            for block in blocks:
+                for a, u in enumerate(block):
+                    edges.update((u, w) for w in block[a + 1:] if rng.random() < p_block)
+                    edges.update((x, u) for x in sep if rng.random() < p_sep)
+            for _ in range(int(rng.integers(1, 4)) if rng.random() < 0.5 else 0):
+                edges.add((int(rng.choice(blocks[0])), int(rng.choice(blocks[1]))))
+            label = rng.permutation(n)
+            g = Graph.from_edges(n, sorted((min(label[u], label[w]), max(label[u], label[w]))
+                                           for u, w in edges))
+            got = is_k_connected(g, k)
+            assert got == (nx.node_connectivity(self._to_networkx(nx, g)) >= k), (k, n)
+            if g.min_degree() >= k:
+                verdicts.append(got)
+        assert verdicts.count(False) >= 5 and verdicts.count(True) >= 5
 
     def test_max_matching(self):
         nx = pytest.importorskip("networkx")
