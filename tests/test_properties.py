@@ -179,9 +179,9 @@ class TestKConnected:
         calls = []
         flow = _SplitDigraph.flow_at_least
 
-        def counted(self, s, t, k):
+        def counted(self, s, t, paths):
             calls.append((s, t))
-            return flow(self, s, t, k)
+            return flow(self, s, t, paths)
 
         monkeypatch.setattr(_SplitDigraph, "flow_at_least", counted)
         assert is_k_connected(g, k)
