@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -459,8 +460,20 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                         f"{hamilton._DP_MAX_NODES} nodes, the subset-DP cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with a dash and then a digit, a point,
+    ``inf`` or ``nan`` as a value, not an option: argparse alone does so
+    only for tokens like ``-1`` and ``-0.5``, so ``--deviation -inf``,
+    ``--deviation -1e3`` and ``--values -2,-1`` never reached their option.
+    No option here starts that way. Subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rig-lab",
         description="Random intersection graph lab: samplers, exact property "
                     "checkers and Monte Carlo threshold experiments.",

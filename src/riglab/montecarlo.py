@@ -7,6 +7,13 @@ configured property exactly. Trial streams derive from
 matter how trials are spread over worker processes; results are ordered
 by trial index before summarizing.
 
+Runs with more than one worker share one process pool, kept for the
+whole Python process: later calls, and every point of a sweep, reuse it
+instead of starting their own. It is replaced when a call needs another
+size, dropped when it breaks, and ends with the interpreter. Its workers
+see the module state as it was when the pool started, not changes made
+after.
+
 Outputs: a CSV with one row per trial and a JSON summary document, both
 schema-versioned ``rig-lab/1``. Per-trial wall time is measured and kept
 on the in-memory records, but the reproducible output files write the
@@ -21,6 +28,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 from . import scaling
@@ -193,12 +201,35 @@ def _trial_batch(args) -> list[TrialRecord]:
 # -- experiment runner ---------------------------------------------------------
 
 
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (size, pool) kept for the process
+
+
+def _pool_of_size(size: int) -> ProcessPoolExecutor:
+    """The kept pool, started anew when there is none or it has another size."""
+    global _pool
+    if _pool is None or _pool[0] != size:
+        _drop_pool()
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, waiting for its workers, and keep none."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(wait=True)
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials and summarize; deterministic for fixed (cfg, seed).
 
     ``workers`` only distributes work: records and summary are identical
-    for every worker count. Budget errors abort the whole experiment; the
-    error names the trial index and stream seed of the trial that raised it.
+    for every worker count. More than one worker runs the trials in the
+    process pool kept for this process (see the module docstring), sized
+    ``min(workers, batches)``. Budget errors abort the whole experiment; the
+    error names the trial index and stream seed of the trial that raised it,
+    and the pool stays in use for later calls.
     """
     indices = list(range(cfg.trials))
     if workers <= 1 or cfg.trials < 4:
@@ -209,11 +240,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             (cfg.model, cfg.prop, cfg.budget, cfg.seed, indices[i:i + chunk])
             for i in range(0, cfg.trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-            out: list[TrialRecord] = []
-            for part in pool.map(_trial_batch, batches):
-                out.extend(part)
-        records = sorted(out, key=lambda r: r.trial)
+        try:
+            parts = list(_pool_of_size(min(workers, len(batches))).map(_trial_batch, batches))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+        records = sorted((r for part in parts for r in part), key=lambda r: r.trial)
     return ExperimentResult(_summarize(cfg, records), tuple(records))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from riglab import montecarlo
 from riglab.graphs import Graph
 from riglab.models import ErParams, sample_er
 from riglab.rng import RngStream
@@ -35,3 +36,12 @@ def assert_violates_robustness(g, k, witness):
     assert all(
         sum(1 for w in adj[v] if w in members) < k for v in range(g.n) if v not in members
     )
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_pool():
+    """Shut the process pool that ``run_experiment`` keeps down after each
+    test, so no pool, real or stand-in, and no module state its workers
+    copied reaches the next test."""
+    yield
+    montecarlo._drop_pool()

@@ -400,6 +400,37 @@ class TestPredict:
         assert doc["deviation"] is None and doc["predicted_probability"] == limit
 
 
+class TestNegativeValues:
+    """A value that starts with a dash reaches its option without ``=``."""
+
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    @pytest.mark.parametrize("deviation", ["-inf", "-1e3"])
+    def test_deviation(self, capsys, command, deviation):
+        flags = ["--family", "er", "--property", "kconn", "--json"]
+        if command == "solve":
+            flags += ["--n", "100"]
+        assert cli.main([command, *flags, f"--deviation={deviation}"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main([command, *flags, "--deviation", deviation]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_sweep_values(self, tmp_path):
+        cfg = _write_config(tmp_path, trials=4, workers=2, seed=3, property=KCONN,
+                            model={"family": "er", "n": 30})
+        out = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "-c", cfg, "--axis", "deviation", "--values", "-2,-1",
+                         "--summary", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert [(p["value"], p["summary"]["label"]) for p in points] == [
+            (-2.0, "deviation=-2.0"), (-1.0, "deviation=-1.0")]
+
+    def test_option_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--family", "er", "--property", "kconn", "--deviation", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestGeometricRegionDefault:
     def test_solve_uses_torus_law(self, capsys):
         base = ["solve", "--family", "urig_rgg", "--property", "kconn", "--n", "2000",

@@ -1,4 +1,12 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +14,8 @@ from riglab import cli, montecarlo, scaling
 from riglab.graphs import Graph, is_connected, write_edge_list
 from riglab.models import ErParams, RggParams, sample_model
 from riglab.montecarlo import ExperimentConfig, run_experiment, sweep, threshold_experiment
-from riglab.properties import PROPERTIES, PropertyKind
+from riglab.errors import BudgetExceeded
+from riglab.properties import PROPERTIES, DecisionBudget, PropertyKind
 from riglab.rng import RngStream, mix64
 
 
@@ -32,32 +41,110 @@ def test_k_axis_keeps_per_point_errors():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+    """Stands in for ProcessPoolExecutor: logs its start-ups and shut-downs
+    by size, starts no process."""
 
-    sizes: list = []
+    log: list = []
 
     def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        self.size = max_workers
+        self.log.append(("start", max_workers))
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True):
+        self.log.append(("shutdown", self.size, wait))
 
     def map(self, fn, batches):
         return map(fn, batches)
 
 
-def test_pool_never_larger_than_its_batches(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    cfg = ExperimentConfig(model=ErParams(14, 0.3), prop=PropertyKind.k_connected(1),
-                           trials=4, seed=3)
+    monkeypatch.setattr(_SerialPool, "log", [])
+    return _SerialPool.log
+
+
+def _er_config(trials=4, **kw):
+    return ExperimentConfig(model=ErParams(14, 0.3), prop=PropertyKind.k_connected(1),
+                            trials=trials, seed=3, **kw)
+
+
+def _outputs(result):
+    return (montecarlo.records_to_csv(result.records),
+            montecarlo.json_text(montecarlo.summary_to_json_dict(result.summary)))
+
+
+def test_pool_never_larger_than_its_batches(serial_pool):
+    cfg = _er_config()
     pooled, serial = run_experiment(cfg, workers=500), run_experiment(cfg, workers=1)
-    assert _SerialPool.sizes == [4]
-    assert montecarlo.records_to_csv(pooled.records) == montecarlo.records_to_csv(serial.records)
+    assert serial_pool == [("start", 4)]
+    assert _outputs(pooled) == _outputs(serial)
     assert pooled.summary == serial.summary
+
+
+def test_calls_of_one_size_share_one_pool(serial_pool):
+    cfg = _er_config(trials=8)
+    first, second = run_experiment(cfg, workers=2), run_experiment(cfg, workers=2)
+    assert serial_pool == [("start", 2)]
+    assert _outputs(first) == _outputs(second) == _outputs(run_experiment(cfg, workers=1))
+
+
+def test_call_of_another_size_shuts_the_old_pool_first(serial_pool):
+    cfg = _er_config(trials=8)
+    run_experiment(cfg, workers=2)
+    run_experiment(cfg, workers=3)
+    assert serial_pool == [("start", 2), ("shutdown", 2, True), ("start", 3)]
+
+
+def test_pool_serves_the_call_after_a_budget_error():
+    # trial 0 of ER(30, 0.5) at seed 0 reaches the Hamilton search, which one
+    # step cannot settle
+    cfg = ExperimentConfig(model=ErParams(30, 0.5), prop=PropertyKind.hamilton_cycle(),
+                           trials=4, seed=0)
+    with pytest.raises(BudgetExceeded, match=rf"trial 0 \(stream seed {RngStream(0, 0).key()}\)"):
+        run_experiment(replace(cfg, budget=DecisionBudget(search_steps=1)), workers=2)
+    pool = montecarlo._pool
+    assert pool is not None
+    assert _outputs(run_experiment(cfg, workers=2)) == _outputs(run_experiment(cfg, workers=1))
+    assert montecarlo._pool is pool
+
+
+def test_broken_pool_is_replaced():
+    cfg = _er_config()
+    run_experiment(cfg, workers=2)
+    broken = montecarlo._pool
+    for worker in multiprocessing.active_children():
+        os.kill(worker.pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(cfg, workers=2)
+    assert montecarlo._pool is None
+    assert _outputs(run_experiment(cfg, workers=2)) == _outputs(run_experiment(cfg, workers=1))
+    assert montecarlo._pool is not None and montecarlo._pool is not broken
+
+
+def test_kept_pool_ends_with_the_interpreter():
+    script = (
+        "import multiprocessing\n"
+        "from riglab.models import ErParams\n"
+        "from riglab.montecarlo import ExperimentConfig, run_experiment\n"
+        "from riglab.properties import PropertyKind\n"
+        "cfg = ExperimentConfig(model=ErParams(14, 0.3), prop=PropertyKind.k_connected(1),\n"
+        "                       trials=4, seed=3)\n"
+        "run_experiment(cfg, workers=2)\n"
+        "run_experiment(cfg, workers=2)\n"
+        "print(*[p.pid for p in multiprocessing.active_children()])\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    workers = [int(pid) for pid in proc.stdout.split()]
+    assert len(workers) == 2
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("prop", [
