@@ -64,9 +64,9 @@ def serial_pool(monkeypatch):
     return _SerialPool.log
 
 
-def _er_config(trials=4, **kw):
+def _er_config(trials=4):
     return ExperimentConfig(model=ErParams(14, 0.3), prop=PropertyKind.k_connected(1),
-                            trials=trials, seed=3, **kw)
+                            trials=trials, seed=3)
 
 
 def _outputs(result):
@@ -112,14 +112,14 @@ def test_pool_serves_the_call_after_a_budget_error():
 def test_broken_pool_is_replaced():
     cfg = _er_config()
     run_experiment(cfg, workers=2)
-    broken = montecarlo._pool
+    broken = montecarlo._pool[1]
     for worker in multiprocessing.active_children():
         os.kill(worker.pid, signal.SIGKILL)
     with pytest.raises(BrokenProcessPool):
         run_experiment(cfg, workers=2)
     assert montecarlo._pool is None
     assert _outputs(run_experiment(cfg, workers=2)) == _outputs(run_experiment(cfg, workers=1))
-    assert montecarlo._pool is not None and montecarlo._pool is not broken
+    assert montecarlo._pool is not None and montecarlo._pool[1] is not broken
 
 
 def test_kept_pool_ends_with_the_interpreter():
